@@ -131,8 +131,7 @@ int Run(int argc, char** argv) {
       if (result->has_explain) {
         std::printf("%s", result->explain.ToString().c_str());
       } else {
-        std::fprintf(stderr,
-                     "(no explain in the response — v3 server?)\n");
+        std::fprintf(stderr, "(no explain in the response)\n");
       }
     }
     if (!trace_out.empty()) {

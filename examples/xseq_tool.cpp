@@ -465,32 +465,26 @@ int Verify(const FlagSet& flags, int argc, char** argv) {
                     static_cast<double>(report.index_logical_link_bytes));
   }
   std::printf("\n");
-  if (report.version >= 4) {
-    uint64_t vindex_bytes = 0;
-    for (const IndexSectionInfo& s : report.sections) {
-      if (s.name == "vindex") vindex_bytes = s.length;
-    }
-    std::printf("vindex:   %llu bytes, %llu path(s), %llu value entries\n",
-                static_cast<unsigned long long>(vindex_bytes),
-                static_cast<unsigned long long>(report.vindex_paths),
-                static_cast<unsigned long long>(report.vindex_entries));
-    // Per-path entry counts in file (= path dictionary) order.
-    constexpr size_t kMaxPathsShown = 10;
-    for (size_t i = 0;
-         i < report.vindex_path_counts.size() && i < kMaxPathsShown; ++i) {
-      std::printf("          path %-6u %llu entries\n",
-                  report.vindex_path_counts[i].first,
-                  static_cast<unsigned long long>(
-                      report.vindex_path_counts[i].second));
-    }
-    if (report.vindex_path_counts.size() > kMaxPathsShown) {
-      std::printf("          ... %zu more path(s)\n",
-                  report.vindex_path_counts.size() - kMaxPathsShown);
-    }
-  } else {
-    std::printf("vindex:   absent (format version %u predates value"
-                " postings; rebuild to answer range predicates)\n",
-                report.version);
+  uint64_t vindex_bytes = 0;
+  for (const IndexSectionInfo& s : report.sections) {
+    if (s.name == "vindex") vindex_bytes = s.length;
+  }
+  std::printf("vindex:   %llu bytes, %llu path(s), %llu value entries\n",
+              static_cast<unsigned long long>(vindex_bytes),
+              static_cast<unsigned long long>(report.vindex_paths),
+              static_cast<unsigned long long>(report.vindex_entries));
+  // Per-path entry counts in file (= path dictionary) order.
+  constexpr size_t kMaxPathsShown = 10;
+  for (size_t i = 0;
+       i < report.vindex_path_counts.size() && i < kMaxPathsShown; ++i) {
+    std::printf("          path %-6u %llu entries\n",
+                report.vindex_path_counts[i].first,
+                static_cast<unsigned long long>(
+                    report.vindex_path_counts[i].second));
+  }
+  if (report.vindex_path_counts.size() > kMaxPathsShown) {
+    std::printf("          ... %zu more path(s)\n",
+                report.vindex_path_counts.size() - kMaxPathsShown);
   }
   if (!report.status.ok()) {
     std::printf("FAILED: %s\n", report.status.ToString().c_str());

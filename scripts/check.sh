@@ -34,12 +34,13 @@ if [[ " $MODES " == *" address "* ]]; then
   ./build-address/tests/xseq_tests \
     --gtest_filter='CorruptionSweep.*:FaultSweep.*:Format.*'
 
-  echo "=== [address] v2 fixture image loads via decode-and-recompress ==="
-  # A checked-in pre-compression (format v2) image must keep loading
-  # through the compatibility path; verify re-reads every section and
-  # reports packed vs logical link bytes, all under ASan.
-  ./build-address/examples/example_xseq_tool verify \
-    tests/testdata/fixture_v2.idx
+  echo "=== [address] build + verify a small image ==="
+  # verify re-reads every section, reports packed vs logical link bytes
+  # and the value index, then runs the full decode, all under ASan.
+  img="build-address/verify_xmark300.idx"
+  ./build-address/examples/example_xseq_tool build --gen=xmark --n=300 \
+    --out="$img"
+  ./build-address/examples/example_xseq_tool verify "$img"
 fi
 
 echo "=== serve smoke (daemon + client over loopback TCP) ==="

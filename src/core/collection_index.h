@@ -199,17 +199,11 @@ class CollectionIndex {
 
   QueryExecutor executor() const {
     return QueryExecutor(&index_, dict_.get(), names_.get(), values_.get(),
-                         sequencer_.get(), schema_.get(),
-                         vindex_present_ ? &vindex_ : nullptr);
+                         sequencer_.get(), schema_.get(), vindex_);
   }
 
-  /// Ordered value index for range predicates. Empty when the index was
-  /// loaded from a pre-v4 image (range queries then fail cleanly).
+  /// Ordered value index for range predicates.
   const ValueIndex& vindex() const { return vindex_; }
-  /// False only for indexes decoded from pre-v4 images, which carry no
-  /// value index; comparison queries then fail with kFailedPrecondition
-  /// instead of silently answering from an empty index.
-  bool has_vindex() const { return vindex_present_; }
 
  private:
   friend class CollectionBuilder;
@@ -226,7 +220,6 @@ class CollectionIndex {
   std::shared_ptr<const SequencingModel> model_;
   std::unique_ptr<Sequencer> sequencer_;
   ValueIndex vindex_;
-  bool vindex_present_ = true;  ///< false: decoded from a pre-v4 image
   std::vector<Document> documents_;
   uint64_t documents_count_ = 0;
   uint64_t total_seq_elements_ = 0;

@@ -14,17 +14,15 @@ constexpr char kMagic[7] = {'X', 'S', 'E', 'Q', 'I', 'D', 'X'};
 // Version 1 was the unframed "XSEQIDX1" layout; its trailing '1' sits where
 // the version byte now lives, so legacy files are recognized exactly.
 constexpr uint8_t kLegacyVersionByte = '1';
+// Version 2 introduced the version byte; no build ever wrote 0 or 1 there.
+constexpr uint8_t kFirstFramedVersion = 2;
 
 constexpr const char* kSectionNames[] = {"header", "names",  "values",
                                          "dict",   "schema", "index",
                                          "vindex"};
-constexpr size_t kMaxSections = sizeof(kSectionNames) / sizeof(*kSectionNames);
+constexpr size_t kNumSections = sizeof(kSectionNames) / sizeof(*kSectionNames);
 constexpr size_t kHeaderBytes = sizeof(kMagic) + 1;  // magic + version byte
 constexpr size_t kFooterBytes = 8;
-
-/// Framed sections a given format version stores. The value index arrived
-/// in version 4; older images simply end after "index".
-size_t NumSectionsFor(uint8_t version) { return version >= 4 ? 7 : 6; }
 
 /// Re-labels a section decode failure with the section that produced it,
 /// preserving the status code. The default arm is deliberate: any code a
@@ -46,11 +44,10 @@ Status AnnotateSection(const char* section, const Status& st) {
   }
 }
 
-/// Validates magic and version. On success, `*version` is the accepted
-/// format version, `*body` the framed-section region (between the version
-/// byte and the footer), and `*footer` the trailing checksum bytes.
-Status CheckHeaderAndSplit(std::string_view data, uint8_t* version,
-                           std::string_view* body,
+/// Validates magic and version. On success, `*body` is the framed-section
+/// region (between the version byte and the footer), and `*footer` the
+/// trailing checksum bytes.
+Status CheckHeaderAndSplit(std::string_view data, std::string_view* body,
                            std::string_view* footer) {
   if (data.size() < kHeaderBytes ||
       std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
@@ -68,23 +65,23 @@ Status CheckHeaderAndSplit(std::string_view data, uint8_t* version,
         " is newer than this build supports (max " +
         std::to_string(kIndexFormatVersion) + ")");
   }
-  if (v < kMinIndexFormatVersion) {
+  if (v < kFirstFramedVersion) {
     return Status::Corruption("unsupported index format version " +
                               std::to_string(v));
+  }
+  if (v < kIndexFormatVersion) {
+    return Status::InvalidArgument(
+        "index format version " + std::to_string(v) +
+        " predates this build's format (version " +
+        std::to_string(kIndexFormatVersion) +
+        ") — rebuild the index with this version");
   }
   if (data.size() < kHeaderBytes + kFooterBytes) {
     return Status::Corruption("index file truncated (no footer)");
   }
-  *version = v;
   *body = data.substr(kHeaderBytes, data.size() - kHeaderBytes - kFooterBytes);
   *footer = data.substr(data.size() - kFooterBytes);
   return Status::OK();
-}
-
-/// Link-section layout a format version stores.
-LinkSectionFormat LinkFormatFor(uint8_t version) {
-  return version >= 3 ? LinkSectionFormat::kPackedBlocks
-                      : LinkSectionFormat::kPlainSerials;
 }
 
 /// Reads one section frame. The length is bounded against the remaining
@@ -114,16 +111,8 @@ Status ReadFrame(Decoder* in, const char* section,
 }  // namespace
 
 std::string EncodeCollectionIndex(const CollectionIndex& index) {
-  return EncodeCollectionIndex(index, kIndexFormatVersion);
-}
-
-std::string EncodeCollectionIndex(const CollectionIndex& index,
-                                  uint8_t version) {
-  if (version < kMinIndexFormatVersion || version > kIndexFormatVersion) {
-    version = kIndexFormatVersion;
-  }
   std::string out(kMagic, sizeof(kMagic));
-  out.push_back(static_cast<char>(version));
+  out.push_back(static_cast<char>(kIndexFormatVersion));
 
   auto frame = [&out](const std::string& payload) {
     PutFixed64(&out, payload.size());
@@ -152,29 +141,24 @@ std::string EncodeCollectionIndex(const CollectionIndex& index,
   index.schema().EncodeTo(&section);
   frame(section);
   section.clear();
-  index.index().EncodeTo(&section, LinkFormatFor(version));
+  index.index().EncodeTo(&section);
   frame(section);
-  if (version >= 4) {
-    section.clear();
-    index.vindex().EncodeTo(&section);
-    frame(section);
-  }
+  section.clear();
+  index.vindex().EncodeTo(&section);
+  frame(section);
 
   PutFixed64(&out, Fnv1a64(std::string_view(out).substr(kHeaderBytes)));
   return out;
 }
 
 StatusOr<CollectionIndex> DecodeCollectionIndex(std::string_view data) {
-  uint8_t version = 0;
   std::string_view body, footer_bytes;
-  XSEQ_RETURN_IF_ERROR(
-      CheckHeaderAndSplit(data, &version, &body, &footer_bytes));
+  XSEQ_RETURN_IF_ERROR(CheckHeaderAndSplit(data, &body, &footer_bytes));
 
   // Walk the frames first: a failure is attributed to its section.
-  const size_t num_sections = NumSectionsFor(version);
-  std::string_view sections[kMaxSections];
+  std::string_view sections[kNumSections];
   Decoder in(body);
-  for (size_t i = 0; i < num_sections; ++i) {
+  for (size_t i = 0; i < kNumSections; ++i) {
     XSEQ_RETURN_IF_ERROR(ReadFrame(&in, kSectionNames[i], &sections[i]));
   }
   if (!in.AtEnd()) {
@@ -255,12 +239,12 @@ StatusOr<CollectionIndex> DecodeCollectionIndex(std::string_view data) {
   }
   {
     Decoder d(sections[5]);
-    auto index = FrozenIndex::DecodeFrom(&d, LinkFormatFor(version));
+    auto index = FrozenIndex::DecodeFrom(&d);
     if (!index.ok()) return AnnotateSection("index", index.status());
     XSEQ_RETURN_IF_ERROR(finish_section("index", &d));
     out.index_ = std::move(*index);
   }
-  if (version >= 4) {
+  {
     Decoder d(sections[6]);
     auto vindex = ValueIndex::DecodeFrom(&d);
     if (!vindex.ok()) return AnnotateSection("vindex", vindex.status());
@@ -274,11 +258,6 @@ StatusOr<CollectionIndex> DecodeCollectionIndex(std::string_view data) {
       }
     }
     out.vindex_ = std::move(*vindex);
-  } else {
-    // Pre-v4 images carry no value postings; comparison queries against
-    // this index fail with kFailedPrecondition rather than answering from
-    // an empty index.
-    out.vindex_present_ = false;
   }
 
   // Sanity: every indexed path must exist in the dictionary, and the
@@ -308,20 +287,17 @@ IndexFileReport InspectEncodedIndex(std::string_view data) {
       std::memcmp(data.data(), kMagic, sizeof(kMagic)) == 0) {
     report.magic_ok = true;
     report.version = static_cast<uint8_t>(data[sizeof(kMagic)]);
-    report.version_supported = report.version >= kMinIndexFormatVersion &&
-                               report.version <= kIndexFormatVersion;
+    report.version_supported = report.version == kIndexFormatVersion;
   }
-  uint8_t version = 0;
   std::string_view body, footer_bytes;
-  Status split = CheckHeaderAndSplit(data, &version, &body, &footer_bytes);
+  Status split = CheckHeaderAndSplit(data, &body, &footer_bytes);
   if (!split.ok()) {
     record(std::move(split));
     return report;
   }
 
   Decoder in(body);
-  const size_t num_sections = NumSectionsFor(version);
-  for (size_t i = 0; i < num_sections; ++i) {
+  for (size_t i = 0; i < kNumSections; ++i) {
     IndexSectionInfo info;
     info.name = kSectionNames[i];
     uint64_t length = 0, checksum = 0;
@@ -348,40 +324,27 @@ IndexFileReport InspectEncodedIndex(std::string_view data) {
     }
     if (info.checksum_ok && info.name == "index") {
       // Skim the pod-vector headers (counts only, no allocation) to
-      // attribute link-region bytes. v3 payloads store 7 vectors (nodes,
+      // attribute link-region bytes. The payload stores 7 vectors (nodes,
       // doc offsets, docs, link offsets, block headers, packed words,
-      // nested flags); v2 payloads store 6 (a flat serial list where the
-      // blocks now sit). Links partition the nodes, so the flat baseline
-      // is 12 bytes per node either way.
-      constexpr uint64_t kElemBytesV3[] = {8, 4, 4, 4, 16, 8, 1};
-      constexpr uint64_t kElemBytesV2[] = {8, 4, 4, 4, 4, 1};
-      const uint64_t* elem_bytes = version >= 3 ? kElemBytesV3 : kElemBytesV2;
-      const size_t nvecs = version >= 3 ? 7 : 6;
+      // nested flags). Links partition the nodes, so the flat baseline is
+      // 12 bytes per node.
+      constexpr uint64_t kElemBytes[] = {8, 4, 4, 4, 16, 8, 1};
+      constexpr size_t kVecs = sizeof(kElemBytes) / sizeof(*kElemBytes);
       Decoder vecs(payload);
-      uint64_t counts[7] = {0, 0, 0, 0, 0, 0, 0};
+      uint64_t counts[kVecs] = {};
       bool ok = true;
-      for (size_t v = 0; v < nvecs && ok; ++v) {
+      for (size_t v = 0; v < kVecs && ok; ++v) {
         std::string_view skip;
         ok = vecs.GetFixed64(&counts[v]).ok() &&
-             counts[v] <= vecs.remaining() / elem_bytes[v] &&
-             vecs.GetRaw(counts[v] * elem_bytes[v], &skip).ok();
+             counts[v] <= vecs.remaining() / kElemBytes[v] &&
+             vecs.GetRaw(counts[v] * kElemBytes[v], &skip).ok();
       }
       if (ok) {
         // 12 = fused (serial, end) pair + cover word per link entry.
         report.index_logical_link_bytes = counts[0] * 12;
-        if (version >= 3) {
-          report.index_packed_link_bytes = counts[4] * 16 + counts[5] * 8;
-          // DecodeFrom rebuilds only the per-path block directory.
-          report.index_derived_bytes = counts[3] * sizeof(uint32_t);
-        } else {
-          // A v2 load recompresses the flat serial list into blocks; the
-          // packed size is unknowable from the image, so report the whole
-          // block region as derived (at worst it is the packed bound:
-          // one header per <=128 entries plus the payload words).
-          report.index_packed_link_bytes = 0;
-          report.index_derived_bytes = counts[3] * sizeof(uint32_t) +
-                                       ((counts[4] + 127) / 128) * 16;
-        }
+        report.index_packed_link_bytes = counts[4] * 16 + counts[5] * 8;
+        // DecodeFrom rebuilds only the per-path block directory.
+        report.index_derived_bytes = counts[3] * sizeof(uint32_t);
       }
     }
     if (info.checksum_ok && info.name == "vindex") {

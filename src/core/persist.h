@@ -2,9 +2,9 @@
 // and load it back, ready to answer queries.
 //
 // File format (all little-endian):
-//   magic   "XSEQIDX" (7 bytes) + format version byte (currently 4)
+//   magic   "XSEQIDX" (7 bytes) + format version byte (kIndexFormatVersion)
 //   framed sections, in order: header, names, values, dict, schema, index,
-//     and (version >= 4) vindex
+//     vindex
 //     each frame: payload length (fixed64), FNV-1a64 of the payload
 //     (fixed64), then the payload bytes
 //   footer  — FNV-1a64 over everything between the version byte and the
@@ -38,16 +38,12 @@
 
 namespace xseq {
 
-/// The format version written by this build. Version 4 appends the ordered
-/// value index section (src/vindex/value_index.h) for comparison
-/// predicates; version 3 stores the index's horizontal links
-/// block-compressed (src/index/link_codec.h); version 2 stored them as one
-/// flat serial list.
+/// The one format version this build reads and writes: the layout above,
+/// with the horizontal links block-compressed (src/index/link_codec.h) in
+/// "index" and the ordered value index (src/vindex/value_index.h) in
+/// "vindex". Older images are refused with kInvalidArgument asking for a
+/// rebuild; a newer one is kUnimplemented.
 inline constexpr uint8_t kIndexFormatVersion = 4;
-/// Oldest version this build still loads. Version-2 images are accepted
-/// and their links recompressed into blocks during decode; pre-v4 images
-/// load with no value index (comparison queries fail cleanly).
-inline constexpr uint8_t kMinIndexFormatVersion = 2;
 
 /// Environment and retry policy for on-disk save/load.
 struct PersistOptions {
@@ -60,16 +56,8 @@ struct PersistOptions {
   uint64_t backoff_micros = 1000;
 };
 
-/// Serializes `index` into a byte buffer (current format version).
+/// Serializes `index` into a byte buffer.
 std::string EncodeCollectionIndex(const CollectionIndex& index);
-
-/// Serializes `index` at a specific format version — kIndexFormatVersion
-/// for the current layout, kMinIndexFormatVersion for a downgrade image
-/// (flat link serials; loadable by older builds). Used by compatibility
-/// fixtures and downgrade tooling. `version` outside the supported range
-/// falls back to the current version.
-std::string EncodeCollectionIndex(const CollectionIndex& index,
-                                  uint8_t version);
 
 /// Reconstructs an index from EncodeCollectionIndex output. Verifies the
 /// magic, version, per-section checksums, and footer; validates
@@ -103,20 +91,18 @@ struct IndexFileReport {
   bool footer_ok = false;
   uint64_t trailing_bytes = 0;
   /// In-memory bytes of the derived structures DecodeFrom materializes
-  /// beyond the stored "index" payload (the per-path block directory for
-  /// v3 images; the full recompressed block region for v2 images); 0 when
-  /// that section is damaged.
+  /// beyond the stored "index" payload (the per-path block directory); 0
+  /// when that section is damaged.
   uint64_t index_derived_bytes = 0;
   /// Bytes of the stored packed link region (block headers + payload
-  /// words) in a v3 image; 0 for v2 images, whose links are recompressed
-  /// on load.
+  /// words).
   uint64_t index_packed_link_bytes = 0;
   /// Bytes the same links would occupy flat (12 per entry: fused
   /// serial+end pair plus cover word) — the uncompressed baseline the
   /// packed bytes are measured against.
   uint64_t index_logical_link_bytes = 0;
   /// Value-index shape skimmed from the vindex section's path directory
-  /// (v4 images with an intact section; all zero/empty otherwise).
+  /// (all zero/empty when that section is damaged).
   /// `vindex_path_counts` pairs each dictionary path id with its posting
   /// count, in stored (ascending-path) order.
   uint64_t vindex_paths = 0;

@@ -3,9 +3,17 @@
 namespace xseq {
 
 std::string SyntheticParams::Name() const {
-  return "L" + std::to_string(max_height) + "F" + std::to_string(max_fanout) +
-         "A" + std::to_string(value_percent) + "I" +
-         std::to_string(identical_percent) + "P" + std::to_string(prob_floor);
+  std::string name = "L";
+  name += std::to_string(max_height);
+  name += "F";
+  name += std::to_string(max_fanout);
+  name += "A";
+  name += std::to_string(value_percent);
+  name += "I";
+  name += std::to_string(identical_percent);
+  name += "P";
+  name += std::to_string(prob_floor);
+  return name;
 }
 
 SyntheticDataset::SyntheticDataset(const SyntheticParams& params,
@@ -19,7 +27,9 @@ int SyntheticDataset::BuildSlot(Rng* rng, int depth, int* name_counter) {
   slots_.push_back(Slot{});
   {
     Slot& s = slots_[static_cast<size_t>(index)];
-    s.name = names_->Intern("e" + std::to_string((*name_counter)++));
+    std::string name = "e";
+    name += std::to_string((*name_counter)++);
+    s.name = names_->Intern(name);
     s.prob = params_.prob_floor / 100.0 +
              rng->NextDouble() * (1.0 - params_.prob_floor / 100.0);
     s.vocab_base = 0;
@@ -77,7 +87,8 @@ void SyntheticDataset::Instantiate(int slot_index, Node* parent,
       int v = s.vocab_base +
               static_cast<int>(rng->Zipf(
                   static_cast<uint32_t>(params_.value_vocab), 1.0));
-      std::string text = "v" + std::to_string(v);
+      std::string text = "v";
+      text += std::to_string(v);
       Node* n = doc->CreateValue(values_->Encode(text), text);
       doc->AppendChild(parent, n);
       continue;

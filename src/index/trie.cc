@@ -264,32 +264,20 @@ Status FrozenIndex::Validate() const {
   return Status::OK();
 }
 
-void FrozenIndex::EncodeTo(std::string* dst, LinkSectionFormat format) const {
+void FrozenIndex::EncodeTo(std::string* dst) const {
   PutPodVector(dst, nodes_);
   PutPodVector(dst, node_docs_off_);
   PutPodVector(dst, docs_);
   PutPodVector(dst, link_off_);
-  if (format == LinkSectionFormat::kPlainSerials) {
-    // v2 images store one flat serial list; ends, covers, and blocks are
-    // derived on load. Kept for compatibility fixtures and downgrades.
-    std::vector<uint32_t> serials;
-    serials.reserve(link_off_.empty() ? 0 : link_off_.back());
-    for (PathId p = 0; p + 1 < link_off_.size(); ++p) {
-      for (const LinkEntry& e : Link(p)) serials.push_back(e.serial);
-    }
-    PutPodVector(dst, serials);
-  } else {
-    // v3 images ship the packed blocks verbatim: re-encoding a decoded
-    // image is byte-identical, and loading needs no recompression. The
-    // per-path block directory is derived from link_off_ on load.
-    PutPodVector(dst, link_blocks_);
-    PutPodVector(dst, link_words_);
-  }
+  // The packed blocks ship verbatim: re-encoding a decoded image is
+  // byte-identical, and loading needs no recompression. The per-path block
+  // directory is derived from link_off_ on load.
+  PutPodVector(dst, link_blocks_);
+  PutPodVector(dst, link_words_);
   PutPodVector(dst, nested_);
 }
 
-StatusOr<FrozenIndex> FrozenIndex::DecodeFrom(Decoder* in,
-                                              LinkSectionFormat format) {
+StatusOr<FrozenIndex> FrozenIndex::DecodeFrom(Decoder* in) {
   FrozenIndex out;
   XSEQ_RETURN_IF_ERROR(in->GetPodVector(&out.nodes_));
   XSEQ_RETURN_IF_ERROR(in->GetPodVector(&out.node_docs_off_));
@@ -308,56 +296,40 @@ StatusOr<FrozenIndex> FrozenIndex::DecodeFrom(Decoder* in,
   if (out.link_off_.empty() && !out.nodes_.empty()) {
     return Status::Corruption("link array size mismatch");
   }
-  if (format == LinkSectionFormat::kPlainSerials) {
-    std::vector<uint32_t> serials;
-    XSEQ_RETURN_IF_ERROR(in->GetPodVector(&serials));
-    if (serials.size() != out.nodes_.size()) {
-      return Status::Corruption("link array size mismatch");
+  XSEQ_RETURN_IF_ERROR(in->GetPodVector(&out.link_blocks_));
+  XSEQ_RETURN_IF_ERROR(in->GetPodVector(&out.link_words_));
+  // Rebuild the per-path block directory from link_off_ and verify the
+  // headers are structurally safe (entry counts within the scratch, widths
+  // within the reader, word offsets exactly cumulative) BEFORE anything
+  // decodes a block. Content checks live in Validate().
+  out.link_block_off_.assign(out.link_off_.size(), 0);
+  uint64_t block_cursor = 0;
+  for (size_t p = 0; p + 1 < out.link_off_.size(); ++p) {
+    out.link_block_off_[p] = static_cast<uint32_t>(block_cursor);
+    const uint32_t size = out.link_off_[p + 1] - out.link_off_[p];
+    block_cursor += (size + kLinkBlockSize - 1) / kLinkBlockSize;
+  }
+  if (!out.link_block_off_.empty()) {
+    out.link_block_off_.back() = static_cast<uint32_t>(block_cursor);
+  }
+  if (block_cursor != out.link_blocks_.size()) {
+    return Status::Corruption("link block count disagrees with offsets");
+  }
+  uint64_t word_cursor = 0;
+  for (const LinkBlockHeader& h : out.link_blocks_) {
+    if (LinkBlockCount(h) > kLinkBlockSize) {
+      return Status::Corruption("link block entry count out of range");
     }
-    std::vector<LinkEntry> entries(serials.size());
-    for (size_t i = 0; i < serials.size(); ++i) {
-      if (serials[i] >= out.nodes_.size()) {
-        return Status::Corruption("link entry serial out of range");
-      }
-      entries[i] = LinkEntry{serials[i], out.nodes_[serials[i]].end};
+    if (h.delta_bits > 32 || h.end_bits > 32 || h.cover_bits > 32) {
+      return Status::Corruption("link block bit width out of range");
     }
-    out.CompressLinks(entries);
-  } else {
-    XSEQ_RETURN_IF_ERROR(in->GetPodVector(&out.link_blocks_));
-    XSEQ_RETURN_IF_ERROR(in->GetPodVector(&out.link_words_));
-    // Rebuild the per-path block directory from link_off_ and verify the
-    // headers are structurally safe (entry counts within the scratch,
-    // widths within the reader, word offsets exactly cumulative) BEFORE
-    // anything decodes a block. Content checks live in Validate().
-    out.link_block_off_.assign(out.link_off_.size(), 0);
-    uint64_t block_cursor = 0;
-    for (size_t p = 0; p + 1 < out.link_off_.size(); ++p) {
-      out.link_block_off_[p] = static_cast<uint32_t>(block_cursor);
-      const uint32_t size = out.link_off_[p + 1] - out.link_off_[p];
-      block_cursor += (size + kLinkBlockSize - 1) / kLinkBlockSize;
+    if (h.word_off != word_cursor) {
+      return Status::Corruption("link block word offset wrong");
     }
-    if (!out.link_block_off_.empty()) {
-      out.link_block_off_.back() = static_cast<uint32_t>(block_cursor);
-    }
-    if (block_cursor != out.link_blocks_.size()) {
-      return Status::Corruption("link block count disagrees with offsets");
-    }
-    uint64_t word_cursor = 0;
-    for (const LinkBlockHeader& h : out.link_blocks_) {
-      if (LinkBlockCount(h) > kLinkBlockSize) {
-        return Status::Corruption("link block entry count out of range");
-      }
-      if (h.delta_bits > 32 || h.end_bits > 32 || h.cover_bits > 32) {
-        return Status::Corruption("link block bit width out of range");
-      }
-      if (h.word_off != word_cursor) {
-        return Status::Corruption("link block word offset wrong");
-      }
-      word_cursor += LinkBlockWords(h);
-    }
-    if (word_cursor != out.link_words_.size()) {
-      return Status::Corruption("link words do not cover the word array");
-    }
+    word_cursor += LinkBlockWords(h);
+  }
+  if (word_cursor != out.link_words_.size()) {
+    return Status::Corruption("link words do not cover the word array");
   }
   XSEQ_RETURN_IF_ERROR(in->GetPodVector(&out.nested_));
   if (out.node_docs_off_.size() != out.nodes_.size() + 1 &&

@@ -36,12 +36,6 @@
 
 namespace xseq {
 
-/// On-disk layout of the horizontal links inside an encoded index section.
-enum class LinkSectionFormat : uint8_t {
-  kPlainSerials,  ///< v2 images: one flat serial list; ends/covers derived
-  kPackedBlocks,  ///< v3 images: block headers + packed words, verbatim
-};
-
 /// Immutable flattened index tree. Node serials are pre-order positions;
 /// nodes() is indexed by serial.
 class FrozenIndex {
@@ -164,7 +158,7 @@ class FrozenIndex {
   /// counted packed).
   uint64_t MemoryBytes() const;
   /// Bytes of the packed link region proper: block headers + packed
-  /// words. Matches what InspectEncodedIndex reports for the on-disk v3
+  /// words. Matches what InspectEncodedIndex reports for the on-disk
   /// link section; the per-path block directory is small bookkeeping
   /// that exists in both layouts and is counted by MemoryBytes only.
   uint64_t PackedLinkBytes() const;
@@ -180,19 +174,13 @@ class FrozenIndex {
   /// and available to callers that load index files from untrusted media.
   Status Validate() const;
 
-  /// Appends a binary encoding of the index to `dst` (see
-  /// src/core/persist.h for the file format around it). kPackedBlocks
-  /// writes the resident block-compressed links verbatim (v3 images);
-  /// kPlainSerials writes the flat serial list (v2 images, for
-  /// compatibility fixtures and downgrade tooling).
-  void EncodeTo(std::string* dst,
-                LinkSectionFormat format =
-                    LinkSectionFormat::kPackedBlocks) const;
-  /// Decodes an index previously written by EncodeTo with `format`.
-  /// kPlainSerials input is recompressed into blocks on load.
-  static StatusOr<FrozenIndex> DecodeFrom(
-      Decoder* in,
-      LinkSectionFormat format = LinkSectionFormat::kPackedBlocks);
+  /// Appends a binary encoding of the index to `dst`, with the resident
+  /// block-compressed links written verbatim (see src/core/persist.h for
+  /// the file format around it).
+  void EncodeTo(std::string* dst) const;
+  /// Decodes an index previously written by EncodeTo. Older link layouts
+  /// never reach it: the image loader refuses their format versions.
+  static StatusOr<FrozenIndex> DecodeFrom(Decoder* in);
 
  private:
   friend class TrieBuilder;

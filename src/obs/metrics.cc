@@ -25,6 +25,7 @@ double Histogram::Percentile(double p) const {
       std::ceil(p / 100.0 * static_cast<double>(n)));
   if (rank == 0) rank = 1;
   if (rank > n) rank = n;
+  double estimate = static_cast<double>(max());  // unless a bucket wins
   uint64_t cum = 0;
   for (int b = 0; b < kBuckets; ++b) {
     uint64_t c = bucket(b);
@@ -36,12 +37,18 @@ double Histogram::Percentile(double p) const {
       // and exact for single-bucket distributions (tested).
       uint64_t k = rank - cum;
       double span = static_cast<double>(hi - lo);
-      return static_cast<double>(lo) +
-             span * static_cast<double>(k) / static_cast<double>(c);
+      estimate = static_cast<double>(lo) +
+                 span * static_cast<double>(k) / static_cast<double>(c);
+      break;
     }
     cum += c;
   }
-  return static_cast<double>(max());  // only reachable under concurrent writes
+  // The model places a bucket's last entry at the bucket's top, which can
+  // lie past every recorded value (one sample of 18945 would read 32767).
+  // std::min/max rather than std::clamp: under concurrent writes the two
+  // bounds may be read out of order.
+  return std::min(std::max(estimate, static_cast<double>(min())),
+                  static_cast<double>(max()));
 }
 
 void Histogram::Reset() {
@@ -49,6 +56,7 @@ void Histogram::Reset() {
   count_.store(0, std::memory_order_relaxed);
   sum_.store(0, std::memory_order_relaxed);
   max_.store(0, std::memory_order_relaxed);
+  min_.store(kNoMin, std::memory_order_relaxed);
 }
 
 MetricsRegistry* MetricsRegistry::Default() {

@@ -17,8 +17,9 @@
 // Histograms use fixed power-of-two buckets: bucket 0 holds the value 0,
 // bucket b >= 1 holds [2^(b-1), 2^b - 1]. Percentiles interpolate linearly
 // inside the winning bucket, which makes them deterministic functions of
-// the recorded multiset (tested exactly in tests/obs_test.cc); the maximum
-// is tracked exactly.
+// the recorded multiset (tested exactly in tests/obs_test.cc). The minimum
+// and maximum are tracked exactly, and every percentile is clamped to
+// [min, max], so no quantile reports a value outside the recorded range.
 
 #ifndef XSEQ_SRC_OBS_METRICS_H_
 #define XSEQ_SRC_OBS_METRICS_H_
@@ -111,8 +112,8 @@ class Gauge {
 };
 
 /// Fixed-bucket power-of-two histogram (see file comment for the bucket
-/// scheme). Record() is wait-free: three relaxed fetch_adds plus a relaxed
-/// CAS loop for the exact maximum.
+/// scheme). Record() is wait-free: three relaxed fetch_adds plus relaxed
+/// CAS loops for the exact minimum and maximum.
 class Histogram {
  public:
   /// Bucket 0 = {0}; bucket b in [1, 63] = [2^(b-1), 2^b - 1]; values with
@@ -127,11 +128,20 @@ class Histogram {
     while (value > cur && !max_.compare_exchange_weak(
                               cur, value, std::memory_order_relaxed)) {
     }
+    cur = min_.load(std::memory_order_relaxed);
+    while (value < cur && !min_.compare_exchange_weak(
+                              cur, value, std::memory_order_relaxed)) {
+    }
   }
 
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
   uint64_t max() const { return max_.load(std::memory_order_relaxed); }
+  /// Smallest recorded value; 0 when empty.
+  uint64_t min() const {
+    const uint64_t m = min_.load(std::memory_order_relaxed);
+    return m == kNoMin ? 0 : m;
+  }
   double average() const {
     uint64_t n = count();
     return n == 0 ? 0.0 : static_cast<double>(sum()) / static_cast<double>(n);
@@ -140,7 +150,8 @@ class Histogram {
   /// The estimated value at percentile `p` in [0, 100]: the rank-ceil(p% of
   /// count) recorded value, linearly interpolated across its bucket. Exact
   /// bucket-boundary semantics: a bucket of n entries is modeled as n values
-  /// evenly spaced over [lo, hi]. 0 when the histogram is empty.
+  /// evenly spaced over [lo, hi]; the estimate is then clamped to
+  /// [min(), max()]. 0 when the histogram is empty.
   double Percentile(double p) const;
 
   /// Per-bucket counts (index -> count), for inspection and serialization.
@@ -159,10 +170,14 @@ class Histogram {
   }
 
  private:
+  /// min_ before anything is recorded (and after Reset).
+  static constexpr uint64_t kNoMin = ~uint64_t{0};
+
   std::atomic<uint64_t> buckets_[kBuckets] = {};
   std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> sum_{0};
   std::atomic<uint64_t> max_{0};
+  std::atomic<uint64_t> min_{kNoMin};
 };
 
 /// A consistent-enough view of one registry (values read relaxed, so a

@@ -33,8 +33,8 @@ namespace obs {
 /// Root / "no parent" marker for span parent links.
 inline constexpr uint32_t kNoSpan = 0xFFFFFFFFu;
 
-/// Distributed trace identity, propagated across process boundaries (wire
-/// protocol v4 carries one per query frame). `trace_id` is a nonzero
+/// Distributed trace identity, propagated across process boundaries (the
+/// wire protocol carries one per query frame). `trace_id` is a nonzero
 /// 48-bit id shared by every span of one end-to-end request; `parent_span`
 /// is the span id *in the sender's trace* the receiver should treat as its
 /// logical parent; `sampled` asks the receiver to record (and return) its

@@ -222,13 +222,8 @@ StatusOr<std::vector<DocId>> QueryExecutor::ExecutePattern(
   // the structural match: probe the value index for each comparison's
   // candidate docs, run the comparison-free skeleton through the unchanged
   // pipeline below, and intersect. Queries without comparisons never enter
-  // this block and execute bit-identically to an executor with no vindex.
+  // this block.
   if (HasComparisons(pattern)) {
-    if (vindex_ == nullptr) {
-      return Status::FailedPrecondition(
-          "index has no value index (built before format v4); rebuild it "
-          "to answer comparison predicates");
-    }
     std::vector<ValueComparison> cmps;
     QueryPattern skeleton = StripComparisons(pattern, &cmps);
     std::vector<std::vector<DocId>> cands;

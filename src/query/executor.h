@@ -135,22 +135,21 @@ struct ExecStats {
 /// must outlive the executor.
 class QueryExecutor {
  public:
-  /// `schema`, when given, supplies the planner's build-time statistics
+  /// `schema`, when non-null, supplies the planner's build-time statistics
   /// (repeatability, weights); planning still works without it using the
-  /// index's exact link cardinalities alone. `vindex`, when given, answers
-  /// comparison predicates ([price < 30]); without it such queries fail
-  /// with kFailedPrecondition (pre-v4 images).
+  /// index's exact link cardinalities alone. `vindex` answers comparison
+  /// predicates ([price < 30]).
   QueryExecutor(const FrozenIndex* index, const PathDict* dict,
                 const NameTable* names, const ValueEncoder* values,
-                const Sequencer* sequencer, const Schema* schema = nullptr,
-                const ValueIndex* vindex = nullptr)
+                const Sequencer* sequencer, const Schema* schema,
+                const ValueIndex& vindex)
       : index_(index),
         dict_(dict),
         names_(names),
         values_(values),
         sequencer_(sequencer),
         schema_(schema),
-        vindex_(vindex) {}
+        vindex_(&vindex) {}
 
   /// Parses and runs `xpath`; returns sorted, deduplicated document ids.
   /// `ctx`, when given, supplies reusable match scratch (see MatchContext);

@@ -4,29 +4,16 @@
 
 namespace xseq {
 
-namespace {
-
-/// True when a remote error is the server refusing our protocol version —
-/// the one error that triggers the downgrade path. Matched on the message
-/// because the wire carries no structured error detail; the text is part
-/// of DecodePrefix's contract ("wire protocol version N is not
-/// supported...").
-bool IsVersionMismatch(const Status& st) {
-  return st.IsUnimplemented() &&
-         st.message().find("wire protocol version") != std::string::npos;
-}
-
-}  // namespace
-
 StatusOr<XseqClient> XseqClient::Connect(const std::string& host, int port,
                                          SocketEnv* env) {
   if (env == nullptr) env = SocketEnv::Default();
   auto conn = env->Connect(host, port);
   if (!conn.ok()) return conn.status();
-  return XseqClient(std::move(*conn), host, port, env);
+  return XseqClient(std::move(*conn));
 }
 
-StatusOr<WireResponse> XseqClient::RoundTripOnce(const WireRequest& req) {
+StatusOr<WireResponse> XseqClient::Call(WireRequest req) {
+  req.id = next_id_++;
   if (conn_ == nullptr) {
     return Status::FailedPrecondition("client is closed");
   }
@@ -50,31 +37,6 @@ StatusOr<WireResponse> XseqClient::RoundTripOnce(const WireRequest& req) {
   return resp;
 }
 
-StatusOr<WireResponse> XseqClient::RoundTrip(WireRequest req) {
-  req.id = next_id_++;
-  req.version = wire_version_;
-  auto resp = RoundTripOnce(req);
-  if (resp.ok() && IsVersionMismatch(resp->status) &&
-      wire_version_ > kMinWireVersion) {
-    // The peer is an older build. It closed the connection along with the
-    // error (framing cannot resynchronize after a rejected body), so
-    // reconnect, drop to the floor version, and replay the request once.
-    // The downgrade sticks for this client's lifetime.
-    wire_version_ = kMinWireVersion;
-    conn_.reset();
-    auto conn = env_->Connect(host_, port_);
-    if (!conn.ok()) {
-      return AnnotateStatus(conn.status(),
-                            "reconnect after version downgrade");
-    }
-    conn_ = std::move(*conn);
-    req.id = next_id_++;
-    req.version = wire_version_;
-    return RoundTripOnce(req);
-  }
-  return resp;
-}
-
 StatusOr<RemoteQueryResult> XseqClient::Query(std::string_view xpath,
                                               uint64_t deadline_budget_micros,
                                               bool want_explain) {
@@ -85,18 +47,17 @@ StatusOr<RemoteQueryResult> XseqClient::Query(std::string_view xpath,
   req.want_explain = want_explain;
 
   // With a tracer, every query records a client-side trace and propagates
-  // its context so the server's spans come back stitchable (v4 only — a
-  // downgraded connection cannot carry the context).
+  // its context so the server's spans come back stitchable.
   obs::TraceBuilder tb;
   uint32_t rpc = obs::kNoSpan;
-  if (tracer_ != nullptr && wire_version_ >= 4) {
+  if (tracer_ != nullptr) {
     const uint32_t root = tb.StartTrace("client_query", obs::TraceContext{});
     rpc = tb.BeginSpan("rpc", root);
     req.trace = tb.ContextFor(rpc);
     req.trace.sampled = true;
   }
 
-  auto resp = RoundTrip(std::move(req));
+  auto resp = Call(std::move(req));
   RemoteQueryResult out;
   if (tb.active()) {
     tb.EndSpan(rpc);
@@ -121,22 +82,16 @@ StatusOr<RemoteQueryResult> XseqClient::Query(std::string_view xpath,
 StatusOr<std::string> XseqClient::Stats() {
   WireRequest req;
   req.op = WireOp::kStats;
-  auto resp = RoundTrip(std::move(req));
+  auto resp = Call(std::move(req));
   if (!resp.ok()) return resp.status();
   XSEQ_RETURN_IF_ERROR(resp->status);
   return std::move(resp->payload);
 }
 
 StatusOr<std::string> XseqClient::Metrics() {
-  if (wire_version_ < 4) {
-    return Status::Unimplemented(
-        "the metrics op needs wire protocol version 4; this connection "
-        "downgraded to version " +
-        std::to_string(wire_version_));
-  }
   WireRequest req;
   req.op = WireOp::kMetrics;
-  auto resp = RoundTrip(std::move(req));
+  auto resp = Call(std::move(req));
   if (!resp.ok()) return resp.status();
   XSEQ_RETURN_IF_ERROR(resp->status);
   return std::move(resp->payload);
@@ -145,7 +100,7 @@ StatusOr<std::string> XseqClient::Metrics() {
 Status XseqClient::Ping() {
   WireRequest req;
   req.op = WireOp::kPing;
-  auto resp = RoundTrip(std::move(req));
+  auto resp = Call(std::move(req));
   if (!resp.ok()) return resp.status();
   return resp->status;
 }
@@ -154,70 +109,46 @@ StatusOr<uint64_t> XseqClient::Reload(std::string_view path) {
   WireRequest req;
   req.op = WireOp::kReload;
   req.reload_path.assign(path.data(), path.size());
-  auto resp = RoundTrip(std::move(req));
+  auto resp = Call(std::move(req));
   if (!resp.ok()) return resp.status();
   XSEQ_RETURN_IF_ERROR(resp->status);
   return resp->generation;
 }
 
-namespace {
-
-/// Local gate shared by the v5 mutation ops: after a downgrade the server
-/// predates the op entirely, so fail here with the same clean story the
-/// version bounce would tell instead of burning a round trip.
-Status RequireMutationVersion(uint8_t wire_version) {
-  if (wire_version < 5) {
-    return Status::Unimplemented(
-        "delete/update/compact need wire protocol version 5; this "
-        "connection downgraded to version " +
-        std::to_string(wire_version));
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 StatusOr<uint64_t> XseqClient::Delete(uint64_t id) {
-  XSEQ_RETURN_IF_ERROR(RequireMutationVersion(wire_version_));
   WireRequest req;
   req.op = WireOp::kDelete;
   req.doc_id = id;
-  auto resp = RoundTrip(std::move(req));
+  auto resp = Call(std::move(req));
   if (!resp.ok()) return resp.status();
   XSEQ_RETURN_IF_ERROR(resp->status);
   return resp->generation;
 }
 
 StatusOr<uint64_t> XseqClient::Update(uint64_t id, std::string_view xml) {
-  XSEQ_RETURN_IF_ERROR(RequireMutationVersion(wire_version_));
   WireRequest req;
   req.op = WireOp::kUpdate;
   req.doc_id = id;
   req.update_xml.assign(xml.data(), xml.size());
-  auto resp = RoundTrip(std::move(req));
+  auto resp = Call(std::move(req));
   if (!resp.ok()) return resp.status();
   XSEQ_RETURN_IF_ERROR(resp->status);
   return resp->generation;
 }
 
 StatusOr<uint64_t> XseqClient::Compact() {
-  XSEQ_RETURN_IF_ERROR(RequireMutationVersion(wire_version_));
   WireRequest req;
   req.op = WireOp::kCompact;
-  auto resp = RoundTrip(std::move(req));
+  auto resp = Call(std::move(req));
   if (!resp.ok()) return resp.status();
   XSEQ_RETURN_IF_ERROR(resp->status);
   return resp->generation;
 }
 
-StatusOr<WireResponse> XseqClient::Call(WireRequest req) {
-  return RoundTrip(std::move(req));
-}
-
 Status XseqClient::Shutdown() {
   WireRequest req;
   req.op = WireOp::kShutdown;
-  auto resp = RoundTrip(std::move(req));
+  auto resp = Call(std::move(req));
   if (!resp.ok()) return resp.status();
   return resp->status;
 }

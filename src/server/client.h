@@ -2,21 +2,14 @@
 // connection, one request in flight, strict request/response. Used by the
 // xseq_client CLI, the serve benchmark's load generator, and tests.
 //
-// Version negotiation: the client opens every connection speaking
-// kWireVersion. A server that answers kUnimplemented naming the wire
-// protocol version is an older build — the client downgrades to
-// kMinWireVersion, reconnects (the server closed the connection along
-// with the error), and replays the request once. The downgrade sticks for
-// the client's lifetime, so a session against an old daemon pays the
-// round trip exactly once. v4-only features (trace propagation, explain,
-// the metrics op) silently drop away on a downgraded connection; the v5
-// mutation ops (delete/update/compact) fail locally with kUnimplemented
-// instead — a mutation must never be silently dropped.
+// The client speaks kWireVersion only. A server of any other version
+// answers the first request with kUnimplemented naming both versions and
+// closes the connection; the client returns that error as is.
 //
 // Tracing: give the client a tracer (set_tracer) and every Query()
 // records a client-side trace — a "client_query" root and an "rpc" span
 // covering the wire round trip — propagates the rpc span's context to the
-// server, and grafts the server's own span tree (returned in the v4
+// server, and grafts the server's own span tree (returned in the
 // response) under the rpc span: one stitched trace per query, committed
 // to the tracer's ring.
 //
@@ -43,8 +36,7 @@ namespace xseq {
 struct RemoteQueryResult {
   std::vector<DocId> docs;   ///< sorted, deduplicated (server contract)
   WireQueryStats stats;
-  /// Planner/executor account of the query (Query(..., want_explain=true)
-  /// against a v4 server; absent on a v3 connection).
+  /// Planner/executor account of the query (Query(..., want_explain=true)).
   bool has_explain = false;
   QueryExplain explain;
   /// Trace id of the stitched client+server trace recorded for this query
@@ -65,8 +57,8 @@ class XseqClient {
   /// bounds the server-side time from admission. A shed request surfaces
   /// as kOverloaded, an expired one as kDeadlineExceeded — exactly the
   /// status the server produced, rebuilt from the wire. `want_explain`
-  /// asks a v4 server for the planner's account (RemoteQueryResult::
-  /// explain); a v3 connection ignores it.
+  /// asks the server for the planner's account (RemoteQueryResult::
+  /// explain).
   StatusOr<RemoteQueryResult> Query(std::string_view xpath,
                                     uint64_t deadline_budget_micros = 0,
                                     bool want_explain = false);
@@ -74,8 +66,7 @@ class XseqClient {
   /// The serving process's MetricsRegistry JSON dump.
   StatusOr<std::string> Stats();
 
-  /// The serving process's Prometheus text exposition (v4 servers only; a
-  /// downgraded v3 connection returns kUnimplemented locally).
+  /// The serving process's Prometheus text exposition.
   StatusOr<std::string> Metrics();
 
   /// Round-trip liveness check.
@@ -93,59 +84,39 @@ class XseqClient {
   StatusOr<uint64_t> Reload(std::string_view path = "");
 
   /// Tombstones every live document with `id` on the daemon's dynamic
-  /// backend; returns the generation after the mutation. v5 servers only —
-  /// a downgraded connection returns kUnimplemented locally, and a static
-  /// backend answers kFailedPrecondition from the server.
+  /// backend; returns the generation after the mutation. A static backend
+  /// answers kFailedPrecondition from the server.
   StatusOr<uint64_t> Delete(uint64_t id);
 
   /// Atomically replaces the documents carrying `id` with the document
   /// parsed from `xml` (server-side, against the owning shard's
-  /// vocabulary); returns the generation after the mutation. v5 only.
+  /// vocabulary); returns the generation after the mutation.
   StatusOr<uint64_t> Update(uint64_t id, std::string_view xml);
 
   /// Compacts the daemon's dynamic backend: purges tombstones and merges
-  /// segments; returns the generation after compaction. v5 only.
+  /// segments; returns the generation after compaction.
   StatusOr<uint64_t> Compact();
 
-  /// Raw request/response round trip, validating the id/op echo. The
-  /// transport/protocol outcome is the StatusOr; the remote call's own
-  /// outcome is the response's `status` field. FailoverClient needs the
-  /// two kept apart (a dead socket is retryable, a remote parse error is
-  /// not); the typed wrappers above flatten them for everyone else.
-  /// Stamps the connection's negotiated version into the request.
+  /// Raw request/response round trip: stamps `req` with the next request
+  /// id and validates the response's id/op echo. The transport/protocol
+  /// outcome is the StatusOr; the remote call's own outcome is the
+  /// response's `status` field. FailoverClient needs the two kept apart (a
+  /// dead socket is retryable, a remote parse error is not); the typed
+  /// wrappers above flatten them for everyone else.
   StatusOr<WireResponse> Call(WireRequest req);
 
   /// Sink for client-side query traces (nullptr = tracing off). Not owned;
   /// must outlive the client.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
-  /// The protocol version this connection speaks (kWireVersion until a
-  /// downgrade, kMinWireVersion after).
-  uint8_t wire_version() const { return wire_version_; }
-
   void Close();
 
  private:
-  XseqClient(std::unique_ptr<Connection> conn, std::string host, int port,
-             SocketEnv* env)
-      : conn_(std::move(conn)),
-        host_(std::move(host)),
-        port_(port),
-        env_(env) {}
-
-  /// Sends `req` and reads its response, validating id/op echo. Handles
-  /// the one-shot version downgrade (reconnect + replay).
-  StatusOr<WireResponse> RoundTrip(WireRequest req);
-
-  /// One wire round trip at the current negotiated version.
-  StatusOr<WireResponse> RoundTripOnce(const WireRequest& req);
+  explicit XseqClient(std::unique_ptr<Connection> conn)
+      : conn_(std::move(conn)) {}
 
   std::unique_ptr<Connection> conn_;
-  std::string host_;
-  int port_ = 0;
-  SocketEnv* env_ = nullptr;  ///< not owned; the env Connect() used
   uint64_t next_id_ = 1;
-  uint8_t wire_version_ = kWireVersion;
   obs::Tracer* tracer_ = nullptr;  ///< not owned
 };
 

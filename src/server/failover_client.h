@@ -108,7 +108,7 @@ class FailoverClient {
   /// Remote query with failover; see the file comment for the retry rules.
   /// `deadline_budget_micros` (0 = none) bounds the *whole* attempt chain,
   /// client-side, and is forwarded per-attempt to the server.
-  /// `want_explain` asks a v4 server for the planner's account.
+  /// `want_explain` asks the server for the planner's account.
   StatusOr<RemoteQueryResult> Query(std::string_view xpath,
                                     uint64_t deadline_budget_micros = 0,
                                     bool want_explain = false);

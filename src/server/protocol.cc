@@ -20,36 +20,23 @@ Status GetByte(Decoder* in, uint8_t* b) {
   return Status::OK();
 }
 
-/// Common prefix of every body: version, op, request id. Any version in
-/// [kMinWireVersion, kWireVersion] is accepted and reported via `version`
-/// so the op payload can be decoded (and the response encoded) at the
-/// peer's level.
-Status DecodePrefix(Decoder* in, uint8_t* version, uint8_t* op,
-                    uint64_t* id) {
-  XSEQ_RETURN_IF_ERROR(GetByte(in, version));
-  if (*version < kMinWireVersion || *version > kWireVersion) {
-    // Version negotiation: a mismatch in either direction is a clean,
-    // attributable kUnimplemented naming both versions — never kCorruption
-    // (the frame checksum already validated the bytes; an old client did
-    // nothing corrupt) and never a hang.
+/// Common prefix of every body: version, op, request id.
+Status DecodePrefix(Decoder* in, uint8_t* op, uint64_t* id) {
+  uint8_t version = 0;
+  XSEQ_RETURN_IF_ERROR(GetByte(in, &version));
+  if (version != kWireVersion) {
+    // A mismatch in either direction is a clean, attributable
+    // kUnimplemented naming both versions — never kCorruption (the frame
+    // checksum already validated the bytes; an old client did nothing
+    // corrupt) and never a hang.
     return Status::Unimplemented(
-        "wire protocol version " + std::to_string(*version) +
+        "wire protocol version " + std::to_string(version) +
         " is not supported; this build speaks version " +
         std::to_string(kWireVersion));
   }
   XSEQ_RETURN_IF_ERROR(GetByte(in, op));
   if (!IsValidWireOp(*op)) {
     return Status::Corruption("unknown wire op " + std::to_string(*op));
-  }
-  if (*op >= static_cast<uint8_t>(WireOp::kDelete) && *version < 5) {
-    // Pre-v5 versions never defined the mutation ops, so a pre-v5 body
-    // carrying one is malformed — the same kCorruption an actual v4 build
-    // would produce (its op validator has never heard of op 7), keeping
-    // old and new builds indistinguishable to a buggy peer.
-    return Status::Corruption("wire op " + std::to_string(*op) +
-                              " requires protocol version 5; body spoke "
-                              "version " +
-                              std::to_string(*version));
   }
   return in->GetFixed64(id);
 }
@@ -160,10 +147,10 @@ Status DecodeStats(Decoder* in, WireQueryStats* s) {
   return in->GetFixed64(&s->pruned_instantiations);
 }
 
-// v4 query-request flag bits.
+// Query-request flag bits.
 constexpr uint8_t kReqFlagTrace = 1u << 0;
 constexpr uint8_t kReqFlagExplain = 1u << 1;
-// v4 query-response flag bits.
+// Query-response flag bits.
 constexpr uint8_t kRespFlagTrace = 1u << 0;
 constexpr uint8_t kRespFlagExplain = 1u << 1;
 
@@ -320,22 +307,20 @@ Status DecodeExplain(Decoder* in, QueryExplain* ex) {
 }  // namespace
 
 void EncodeRequestBody(const WireRequest& req, std::string* out) {
-  PutByte(out, req.version);
+  PutByte(out, kWireVersion);
   PutByte(out, static_cast<uint8_t>(req.op));
   PutFixed64(out, req.id);
   if (req.op == WireOp::kQuery) {
     PutString(out, req.xpath);
     PutFixed64(out, req.deadline_micros);
-    if (req.version >= 4) {
-      uint8_t flags = 0;
-      if (req.trace.valid()) flags |= kReqFlagTrace;
-      if (req.want_explain) flags |= kReqFlagExplain;
-      PutByte(out, flags);
-      if (req.trace.valid()) {
-        PutFixed64(out, req.trace.trace_id);
-        PutFixed64(out, req.trace.parent_span);
-        PutByte(out, req.trace.sampled ? 1 : 0);
-      }
+    uint8_t flags = 0;
+    if (req.trace.valid()) flags |= kReqFlagTrace;
+    if (req.want_explain) flags |= kReqFlagExplain;
+    PutByte(out, flags);
+    if (req.trace.valid()) {
+      PutFixed64(out, req.trace.trace_id);
+      PutFixed64(out, req.trace.parent_span);
+      PutByte(out, req.trace.sampled ? 1 : 0);
     }
   } else if (req.op == WireOp::kReload) {
     PutString(out, req.reload_path);
@@ -350,7 +335,7 @@ void EncodeRequestBody(const WireRequest& req, std::string* out) {
 Status DecodeRequestBody(std::string_view body, WireRequest* out) {
   Decoder in(body);
   uint8_t op = 0;
-  XSEQ_RETURN_IF_ERROR(DecodePrefix(&in, &out->version, &op, &out->id));
+  XSEQ_RETURN_IF_ERROR(DecodePrefix(&in, &op, &out->id));
   out->op = static_cast<WireOp>(op);
   out->xpath.clear();
   out->deadline_micros = 0;
@@ -362,19 +347,17 @@ Status DecodeRequestBody(std::string_view body, WireRequest* out) {
   if (out->op == WireOp::kQuery) {
     XSEQ_RETURN_IF_ERROR(in.GetString(&out->xpath));
     XSEQ_RETURN_IF_ERROR(in.GetFixed64(&out->deadline_micros));
-    if (out->version >= 4) {
-      uint8_t flags = 0;
-      XSEQ_RETURN_IF_ERROR(GetByte(&in, &flags));
-      out->want_explain = (flags & kReqFlagExplain) != 0;
-      if ((flags & kReqFlagTrace) != 0) {
-        uint8_t sampled = 0;
-        XSEQ_RETURN_IF_ERROR(in.GetFixed64(&out->trace.trace_id));
-        XSEQ_RETURN_IF_ERROR(in.GetFixed64(&out->trace.parent_span));
-        XSEQ_RETURN_IF_ERROR(GetByte(&in, &sampled));
-        out->trace.sampled = sampled != 0;
-        if (!out->trace.valid()) {
-          return Status::Corruption("trace context with zero trace id");
-        }
+    uint8_t flags = 0;
+    XSEQ_RETURN_IF_ERROR(GetByte(&in, &flags));
+    out->want_explain = (flags & kReqFlagExplain) != 0;
+    if ((flags & kReqFlagTrace) != 0) {
+      uint8_t sampled = 0;
+      XSEQ_RETURN_IF_ERROR(in.GetFixed64(&out->trace.trace_id));
+      XSEQ_RETURN_IF_ERROR(in.GetFixed64(&out->trace.parent_span));
+      XSEQ_RETURN_IF_ERROR(GetByte(&in, &sampled));
+      out->trace.sampled = sampled != 0;
+      if (!out->trace.valid()) {
+        return Status::Corruption("trace context with zero trace id");
       }
     }
   } else if (out->op == WireOp::kReload) {
@@ -389,7 +372,7 @@ Status DecodeRequestBody(std::string_view body, WireRequest* out) {
 }
 
 void EncodeResponseBody(const WireResponse& resp, std::string* out) {
-  PutByte(out, resp.version);
+  PutByte(out, kWireVersion);
   PutByte(out, static_cast<uint8_t>(resp.op));
   PutFixed64(out, resp.id);
   PutByte(out, StatusCodeToWire(resp.status.code()));
@@ -399,14 +382,12 @@ void EncodeResponseBody(const WireResponse& resp, std::string* out) {
     PutFixed64(out, resp.docs.size());
     for (DocId d : resp.docs) PutFixed64(out, d);
     EncodeStats(resp.stats, out);
-    if (resp.version >= 4) {
-      uint8_t flags = 0;
-      if (resp.has_trace) flags |= kRespFlagTrace;
-      if (resp.has_explain) flags |= kRespFlagExplain;
-      PutByte(out, flags);
-      if (resp.has_trace) EncodeTrace(resp.trace, out);
-      if (resp.has_explain) EncodeExplain(resp.explain, out);
-    }
+    uint8_t flags = 0;
+    if (resp.has_trace) flags |= kRespFlagTrace;
+    if (resp.has_explain) flags |= kRespFlagExplain;
+    PutByte(out, flags);
+    if (resp.has_trace) EncodeTrace(resp.trace, out);
+    if (resp.has_explain) EncodeExplain(resp.explain, out);
   } else if (resp.op == WireOp::kStats || resp.op == WireOp::kMetrics) {
     PutString(out, resp.payload);
   } else if (resp.op == WireOp::kReload || resp.op == WireOp::kDelete ||
@@ -418,7 +399,7 @@ void EncodeResponseBody(const WireResponse& resp, std::string* out) {
 Status DecodeResponseBody(std::string_view body, WireResponse* out) {
   Decoder in(body);
   uint8_t op = 0;
-  XSEQ_RETURN_IF_ERROR(DecodePrefix(&in, &out->version, &op, &out->id));
+  XSEQ_RETURN_IF_ERROR(DecodePrefix(&in, &op, &out->id));
   out->op = static_cast<WireOp>(op);
   uint8_t code = 0;
   std::string message;
@@ -493,17 +474,15 @@ Status DecodeResponseBody(std::string_view body, WireResponse* out) {
       out->docs.push_back(static_cast<DocId>(d));
     }
     XSEQ_RETURN_IF_ERROR(DecodeStats(&in, &out->stats));
-    if (out->version >= 4) {
-      uint8_t flags = 0;
-      XSEQ_RETURN_IF_ERROR(GetByte(&in, &flags));
-      if ((flags & kRespFlagTrace) != 0) {
-        XSEQ_RETURN_IF_ERROR(DecodeTrace(&in, &out->trace));
-        out->has_trace = true;
-      }
-      if ((flags & kRespFlagExplain) != 0) {
-        XSEQ_RETURN_IF_ERROR(DecodeExplain(&in, &out->explain));
-        out->has_explain = true;
-      }
+    uint8_t flags = 0;
+    XSEQ_RETURN_IF_ERROR(GetByte(&in, &flags));
+    if ((flags & kRespFlagTrace) != 0) {
+      XSEQ_RETURN_IF_ERROR(DecodeTrace(&in, &out->trace));
+      out->has_trace = true;
+    }
+    if ((flags & kRespFlagExplain) != 0) {
+      XSEQ_RETURN_IF_ERROR(DecodeExplain(&in, &out->explain));
+      out->has_explain = true;
     }
   } else if (out->op == WireOp::kStats || out->op == WireOp::kMetrics) {
     XSEQ_RETURN_IF_ERROR(in.GetString(&out->payload));

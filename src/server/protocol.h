@@ -13,42 +13,38 @@
 //
 // Body layout, shared prefix (offsets within the body):
 //
-//   offset 0   u8   protocol version (kMinWireVersion..kWireVersion both
-//                   accepted; responses are encoded at the *request's*
-//                   version, so a v3 peer keeps talking v3). A version
-//                   outside the range — older or newer — gets a clean
-//                   kUnimplemented naming both versions, never a
-//                   corruption error or a hang
+//   offset 0   u8   protocol version, always kWireVersion. Any other
+//                   version, older or newer, gets a clean kUnimplemented
+//                   naming both versions, never a corruption error or a
+//                   hang
 //   offset 1   u8   op (WireOp)
 //   offset 2   u64  request id, echoed verbatim in the response
 //   offset 10  op-specific payload
 //
 // Request payloads:
 //   query:    string xpath (u64 length + bytes), u64 deadline budget in
-//             microseconds (relative to receipt; 0 = none). v4 appends a
-//             u8 flag set (bit 0 = trace context follows, bit 1 = the
-//             caller wants an explain in the response) and, under bit 0,
-//             the trace context: u64 trace id, u64 parent span id, u8
-//             sampled.
+//             microseconds (relative to receipt; 0 = none), a u8 flag set
+//             (bit 0 = trace context follows, bit 1 = the caller wants an
+//             explain in the response) and, under bit 0, the trace
+//             context: u64 trace id, u64 parent span id, u8 sampled.
 //   reload:   string image prefix (empty = reload the prefix the server is
 //             currently serving)
-//   delete:   u64 document id (v5+)
-//   update:   u64 document id, string replacement XML (v5+)
+//   delete:   u64 document id
+//   update:   u64 document id, string replacement XML
 //   stats / ping / shutdown / metrics / compact: empty
 //
 // Response payloads (after a u8 status code + string error message; the
 // payload is present only when the status is OK):
-//   query:    u64 doc count, u64 per doc id, then WireQueryStats (14
-//             fixed64 fields, see EncodeTo). v4 appends a u8 flag set
-//             (bit 0 = an embedded server-side trace follows, bit 1 = a
-//             QueryExplain follows) and the flagged sections, so a
-//             sampled caller can stitch the server's spans under its own
-//             trace.
+//   query:    u64 doc count, u64 per doc id, WireQueryStats (14 fixed64
+//             fields, see EncodeTo), then a u8 flag set (bit 0 = an
+//             embedded server-side trace follows, bit 1 = a QueryExplain
+//             follows) and the flagged sections, so a sampled caller can
+//             stitch the server's spans under its own trace.
 //   stats:    string (MetricsRegistry::JsonDump of the serving process)
 //   reload:   u64 generation now being served
-//   metrics:  string (Prometheus text exposition; v4+)
-//   delete / update / compact: u64 generation after the mutation (v5+),
-//             so callers can tie cache invalidation to the ack
+//   metrics:  string (Prometheus text exposition)
+//   delete / update / compact: u64 generation after the mutation, so
+//             callers can tie cache invalidation to the ack
 //   ping / shutdown: empty
 //
 // Checksums make torn frames (a peer dying mid-write) indistinguishable
@@ -70,29 +66,10 @@
 
 namespace xseq {
 
-// Version history:
-//   1 — initial protocol (11-field WireQueryStats)
-//   2 — WireQueryStats gained plan_cache_hits / result_cache_hits /
-//       pruned_instantiations (14 fixed64 fields)
-//   3 — reload op (generation hot-swap); version mismatches in either
-//       direction now decode to kUnimplemented naming both versions
-//       (older builds reported an old client as kCorruption)
-//   4 — distributed tracing (query requests may carry a trace context,
-//       query responses may embed the server-side span tree), query
-//       explain (request flag + response section), and the metrics op
-//       (Prometheus text exposition). First version to accept a *range*:
-//       v3 bodies still decode and are answered with v3 bodies, so old
-//       peers interoperate without the new sections.
-//   5 — mutation ops for dynamic backends: delete (tombstone every live
-//       document with an id), update (atomic delete + re-add), compact
-//       (purge tombstones, merge segments). Each acks with the backend
-//       generation after the mutation. The ops are gated on the body
-//       version: a v3/v4 body carrying op >= 7 is corrupt (those versions
-//       never defined it), while a v5 body to an older build gets the
-//       usual kUnimplemented version bounce and the client downgrades —
-//       mutation calls then fail client-side with a clean kUnimplemented.
+/// The one protocol version this build speaks, in the layout above. A body
+/// at any earlier version (1-4) or a later one is answered kUnimplemented
+/// naming both versions, and the server then closes the connection.
 inline constexpr uint8_t kWireVersion = 5;
-inline constexpr uint8_t kMinWireVersion = 3;
 
 /// Frame header size (length + checksum) and the body-size cap.
 inline constexpr size_t kFrameHeaderBytes = 12;
@@ -104,10 +81,10 @@ enum class WireOp : uint8_t {
   kPing = 3,
   kShutdown = 4,
   kReload = 5,
-  kMetrics = 6,  ///< Prometheus text exposition (v4+)
-  kDelete = 7,   ///< tombstone a document id (v5+, dynamic backends)
-  kUpdate = 8,   ///< atomic replace of a document id (v5+, dynamic backends)
-  kCompact = 9,  ///< purge tombstones / merge segments (v5+)
+  kMetrics = 6,  ///< Prometheus text exposition
+  kDelete = 7,   ///< tombstone a document id (dynamic backends)
+  kUpdate = 8,   ///< atomic replace of a document id (dynamic backends)
+  kCompact = 9,  ///< purge tombstones / merge segments (dynamic backends)
 };
 
 /// True for a value DecodeRequest/DecodeResponse accepts.
@@ -119,19 +96,16 @@ bool IsValidWireOp(uint8_t op);
 uint8_t StatusCodeToWire(StatusCode code);
 StatusCode StatusCodeFromWire(uint8_t wire);
 
-/// A decoded request. `version` is the version the peer spoke (recorded by
-/// the decoder, consumed by the encoder — set it to kMinWireVersion to
-/// emit a body an old peer can parse).
+/// A decoded request.
 struct WireRequest {
-  uint8_t version = kWireVersion;
   WireOp op = WireOp::kPing;
   uint64_t id = 0;
   std::string xpath;            ///< kQuery only
   uint64_t deadline_micros = 0; ///< kQuery only; relative budget, 0 = none
   std::string reload_path;      ///< kReload only; empty = current prefix
-  uint64_t doc_id = 0;          ///< kDelete / kUpdate (v5+)
-  std::string update_xml;       ///< kUpdate only (v5+); replacement document
-  /// kQuery, v4+: distributed trace context (invalid = untraced) and the
+  uint64_t doc_id = 0;          ///< kDelete / kUpdate
+  std::string update_xml;       ///< kUpdate only; replacement document
+  /// kQuery: distributed trace context (invalid = untraced) and the
   /// explain request flag.
   obs::TraceContext trace;
   bool want_explain = false;
@@ -159,7 +133,6 @@ struct WireQueryStats {
 
 /// A decoded response.
 struct WireResponse {
-  uint8_t version = kWireVersion;  ///< mirror of the request's version
   WireOp op = WireOp::kPing;
   uint64_t id = 0;
   Status status;                ///< the remote call's outcome
@@ -168,7 +141,7 @@ struct WireResponse {
   std::string payload;          ///< kStats (metrics JSON) / kMetrics (text)
   uint64_t generation = 0;      ///< kReload / kDelete / kUpdate / kCompact:
                                 ///< generation after the swap or mutation
-  /// kQuery, v4+: the server-side span tree of this request (present when
+  /// kQuery: the server-side span tree of this request (present when
   /// the request carried a sampled trace context) and the explain record
   /// (present when the request asked for one).
   bool has_trace = false;
@@ -181,9 +154,9 @@ struct WireResponse {
 void EncodeRequestBody(const WireRequest& req, std::string* out);
 void EncodeResponseBody(const WireResponse& resp, std::string* out);
 
-/// Parses a body produced by the encoders above. Anything malformed —
-/// bad version, unknown op, truncated payload, trailing bytes — is
-/// kCorruption (or kUnimplemented for a well-formed future version).
+/// Parses a body produced by the encoders above. A version other than
+/// kWireVersion is kUnimplemented; anything else malformed — unknown op,
+/// truncated payload, trailing bytes — is kCorruption.
 Status DecodeRequestBody(std::string_view body, WireRequest* out);
 Status DecodeResponseBody(std::string_view body, WireResponse* out);
 

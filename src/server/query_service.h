@@ -22,7 +22,7 @@
 //
 // Per-request observability: a request is *traced* when the service has a
 // tracer (ServiceOptions::exec.tracer) or the request carries a sampled
-// TraceContext (RequestOptions::trace, propagated from wire protocol v4).
+// TraceContext (RequestOptions::trace, propagated over the wire protocol).
 // A traced request records a "serve" root adopting the context's trace id,
 // a real "queue" span covering the admission wait, and an "execute" span
 // the backend's own spans attach beneath; the finished tree is committed

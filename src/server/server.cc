@@ -97,7 +97,6 @@ void XseqServer::ReapFinishedLocked() {
 }
 
 bool XseqServer::Dispatch(const WireRequest& req, WireResponse* resp) {
-  resp->version = req.version;  // answer at the peer's protocol level
   resp->op = req.op;
   resp->id = req.id;
   resp->status = Status::OK();
@@ -110,10 +109,9 @@ bool XseqServer::Dispatch(const WireRequest& req, WireResponse* resp) {
       ropts.trace = req.trace;
       ropts.want_explain = req.want_explain;
       ropts.request_id = req.id;
-      // The outcome only matters when a v4 peer can receive it (the
-      // access log and local trace ring are fed inside the service).
-      const bool wants_outcome =
-          req.version >= 4 && (req.trace.sampled || req.want_explain);
+      // The outcome only matters when the peer asked for a section of it
+      // (the access log and local trace ring are fed inside the service).
+      const bool wants_outcome = req.trace.sampled || req.want_explain;
       RequestOutcome outcome;
       auto result = service_.Execute(
           req.xpath, ropts, wants_outcome ? &outcome : nullptr);
@@ -123,15 +121,13 @@ bool XseqServer::Dispatch(const WireRequest& req, WireResponse* resp) {
       }
       resp->docs = std::move(result->docs);
       resp->stats = WireQueryStats::FromExecStats(result->stats);
-      if (req.version >= 4) {
-        if (req.trace.sampled && outcome.traced) {
-          resp->has_trace = true;
-          resp->trace = std::move(outcome.trace);
-        }
-        if (req.want_explain && outcome.explained) {
-          resp->has_explain = true;
-          resp->explain = std::move(outcome.explain);
-        }
+      if (req.trace.sampled && outcome.traced) {
+        resp->has_trace = true;
+        resp->trace = std::move(outcome.trace);
+      }
+      if (req.want_explain && outcome.explained) {
+        resp->has_explain = true;
+        resp->explain = std::move(outcome.explain);
       }
       return true;
     }
@@ -229,9 +225,6 @@ void XseqServer::HandleConnection(Handler* handler) {
       if (!st.IsNotFound()) {
         if (obs::MetricsEnabled()) ServerMetrics().frame_errors->Increment();
         WireResponse resp;
-        // The peer's version is unknown here; encode at the floor so the
-        // widest range of peers can still read the error.
-        resp.version = kMinWireVersion;
         resp.op = WireOp::kPing;
         resp.id = 0;
         resp.status = st;
@@ -254,7 +247,6 @@ void XseqServer::HandleConnection(Handler* handler) {
     Status decoded = DecodeRequestBody(body, &req);
     if (!decoded.ok()) {
       if (obs::MetricsEnabled()) ServerMetrics().frame_errors->Increment();
-      resp.version = kMinWireVersion;  // the peer's version is unknown
       resp.op = WireOp::kPing;
       resp.id = 0;
       resp.status = decoded;

@@ -53,7 +53,7 @@ struct ServerOptions {
   /// with kUnimplemented — a server over a fixed backend stays honest
   /// about it instead of pretending to have swapped.
   std::function<StatusOr<uint64_t>(const std::string&)> reload_handler;
-  /// v5 mutation ops, each returning the backend generation after the
+  /// Mutation ops, each returning the backend generation after the
   /// mutation. Null (the default) answers kUnimplemented — only a daemon
   /// serving a dynamic backend wires these (see xseq_serve --dynamic);
   /// static images stay honestly immutable over the wire.

@@ -21,8 +21,8 @@
 // hashed designators may collide, the value index never does.
 //
 // Built at Freeze/Seal time from the original (pre-chain-expansion)
-// documents; persisted as its own checksummed section of the v4 index
-// image (v2/v3 images load with an empty value index).
+// documents; persisted as its own checksummed "vindex" section of the
+// index image (src/core/persist.h).
 
 #ifndef XSEQ_SRC_VINDEX_VALUE_INDEX_H_
 #define XSEQ_SRC_VINDEX_VALUE_INDEX_H_

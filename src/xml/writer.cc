@@ -33,7 +33,9 @@ namespace {
 
 std::string ValueText(const Node* v) {
   if (v->text != nullptr) return v->text;
-  return "v" + std::to_string(v->sym.id());
+  std::string text = "v";
+  text += std::to_string(v->sym.id());
+  return text;
 }
 
 void WriteNode(const Node* n, const NameTable& names,

@@ -114,7 +114,9 @@ TEST_P(IndexInvariants, DocOffsetsMonotone) {
 INSTANTIATE_TEST_SUITE_P(Sweep, IndexInvariants,
                          ::testing::Values(0, 25, 60, 100),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           return "I" + std::to_string(info.param);
+                           std::string name = "I";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 TEST(HashedMode, IsAlwaysASupersetOfExact) {

@@ -1,7 +1,7 @@
 // Edge-case tests for the link block codec (src/index/link_codec.h): the
 // shapes where bit-packing degenerates — single entries, header-only
 // blocks, exact block boundaries, maximally wide values — plus stream-split
-// decode equivalence and the v2 (flat serials) compatibility path.
+// decode equivalence and image-level block checks.
 
 #include <gtest/gtest.h>
 
@@ -173,52 +173,7 @@ TEST(LinkCodec, StreamSplitDecodesMatchFullDecode) {
   }
 }
 
-// --- FrozenIndex-level compatibility (v2 flat serials <-> v3 packed) -----
-
-TEST(LinkCodecCompat, V2ImageRoundTripsThroughRecompression) {
-  CollectionIndex idx = testing::MakeIndex(
-      {"P(R(L('x'))R(L('x'))R(L('y')))", "P(R(R(R(L('z')))))", "P(D)"});
-  const FrozenIndex& fi = idx.index();
-
-  // Encode the index section in both formats; the v2 body must decode to a
-  // logically identical index (links, covers, nesting flags).
-  std::string v3 = EncodeCollectionIndex(idx, 3);
-  std::string v2 = EncodeCollectionIndex(idx, 2);
-  EXPECT_NE(v2, v3);
-
-  auto loaded = DecodeCollectionIndex(v2);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const FrozenIndex& fi2 = loaded->index();
-  ASSERT_EQ(fi2.node_count(), fi.node_count());
-  ASSERT_EQ(fi2.distinct_paths(), fi.distinct_paths());
-  for (PathId p = 0; p < fi.distinct_paths(); ++p) {
-    auto a = fi.Link(p);
-    auto b = fi2.Link(p);
-    ASSERT_EQ(a.size(), b.size()) << p;
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].serial, b[i].serial) << p << ":" << i;
-      EXPECT_EQ(a[i].end, b[i].end) << p << ":" << i;
-    }
-    EXPECT_EQ(fi.LinkCover(p), fi2.LinkCover(p)) << p;
-    EXPECT_EQ(fi.HasNested(p), fi2.HasNested(p)) << p;
-  }
-  // Recompression is canonical: re-encoding the v2-loaded index at v3 (the
-  // last version before value postings, which a v2 image does not carry)
-  // reproduces the v3 image bit for bit.
-  EXPECT_EQ(EncodeCollectionIndex(*loaded, 3), v3);
-}
-
-TEST(LinkCodecCompat, V2TruncationAtEveryOffsetIsRejected) {
-  CollectionIndex idx =
-      testing::MakeIndex({"P(R(L('x')))", "P(R(M('y')))", "P(D)"});
-  std::string v2 = EncodeCollectionIndex(idx, 2);
-  ASSERT_TRUE(DecodeCollectionIndex(v2).ok());
-  for (size_t len = 0; len < v2.size(); ++len) {
-    EXPECT_FALSE(
-        DecodeCollectionIndex(std::string_view(v2).substr(0, len)).ok())
-        << "v2 truncation to " << len << " bytes decoded";
-  }
-}
+// --- FrozenIndex-level checks ---------------------------------------------
 
 TEST(LinkCodecCompat, CorruptBlockHeaderIsRejectedBeforeDecode) {
   CollectionIndex idx = testing::MakeIndex(

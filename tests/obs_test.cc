@@ -97,8 +97,9 @@ TEST(Histogram, PercentileInterpolationFormula) {
   h.Record(6);
   // p50 over n=3 -> rank ceil(1.5)=2 -> 4 + 3*2/3 = 6.
   EXPECT_DOUBLE_EQ(h.Percentile(50), 6.0);
-  // p100 -> rank 3 -> 4 + 3*3/3 = 7 (the bucket's upper bound).
-  EXPECT_DOUBLE_EQ(h.Percentile(100), 7.0);
+  // p100 -> rank 3 -> 4 + 3*3/3 = 7 (the bucket's upper bound), clamped to
+  // the recorded max, 6.
+  EXPECT_DOUBLE_EQ(h.Percentile(100), 6.0);
   // p1 -> rank 1 -> 4 + 3*1/3 = 5.
   EXPECT_DOUBLE_EQ(h.Percentile(1), 5.0);
 }
@@ -109,8 +110,29 @@ TEST(Histogram, PercentileAcrossBuckets) {
   h.Record(8);  // bucket 4 = [8, 15]
   // n=2: p50 -> rank 1 -> the bucket-1 entry, exactly 1.
   EXPECT_DOUBLE_EQ(h.Percentile(50), 1.0);
-  // p99 -> rank 2 -> sole bucket-4 entry modeled at the bucket top: 15.
-  EXPECT_DOUBLE_EQ(h.Percentile(99), 15.0);
+  // p99 -> rank 2 -> sole bucket-4 entry modeled at the bucket top (15),
+  // clamped to the recorded max, 8.
+  EXPECT_DOUBLE_EQ(h.Percentile(99), 8.0);
+}
+
+TEST(Histogram, SingleSampleReportsItself) {
+  // 18945 lands in bucket [16384, 32767]; unclamped interpolation would
+  // report the bucket top, 32767, at every percentile.
+  obs::Histogram h;
+  h.Record(18945);
+  EXPECT_EQ(h.min(), 18945u);
+  EXPECT_DOUBLE_EQ(h.Percentile(50), 18945.0);
+  EXPECT_DOUBLE_EQ(h.Percentile(99), 18945.0);
+}
+
+TEST(Histogram, NoQuantileLeavesTheRecordedRange) {
+  obs::Histogram h;
+  // 3, 10, 31, ..., 7654: the top sample sits low in bucket [4096, 8191].
+  for (uint64_t v = 3; v < 20000; v = v * 3 + 1) h.Record(v);
+  for (double p = 0.0; p <= 100.0; p += 0.5) {
+    EXPECT_LE(h.Percentile(p), static_cast<double>(h.max())) << p;
+    EXPECT_GE(h.Percentile(p), static_cast<double>(h.min())) << p;
+  }
 }
 
 TEST(Histogram, Reset) {
@@ -120,7 +142,11 @@ TEST(Histogram, Reset) {
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.sum(), 0u);
   EXPECT_EQ(h.max(), 0u);
+  EXPECT_EQ(h.min(), 0u);
   EXPECT_DOUBLE_EQ(h.Percentile(50), 0.0);
+  // The minimum restarts too: it is not stuck at the pre-reset 5.
+  h.Record(9);
+  EXPECT_EQ(h.min(), 9u);
 }
 
 // ----------------------------------------------------------- counter/gauge

@@ -1,5 +1,5 @@
-// Tests for the observability plane: wire protocol v4 (trace context and
-// explain sections, v3 interop, version downgrade), the Prometheus text
+// Tests for the observability plane: the wire protocol's trace context and
+// explain sections, the Prometheus text
 // exposition and its HTTP scrape endpoint, the structured request log
 // (tail-sampling policy, rotation), and the acceptance scenario — one
 // stitched trace, with a single trace id, spanning a FailoverClient
@@ -12,7 +12,6 @@
 #include <cstring>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/obs/exposition.h"
@@ -69,7 +68,7 @@ ShardedCollection BuildSharded(const std::vector<std::string>& specs,
 }
 
 // ---------------------------------------------------------------------------
-// Protocol v4: trace context + explain sections.
+// Wire protocol: trace context + explain sections.
 
 TEST(ProtocolV4Test, TraceContextAndExplainFlagRoundTrip) {
   WireRequest req;
@@ -85,13 +84,13 @@ TEST(ProtocolV4Test, TraceContextAndExplainFlagRoundTrip) {
   EncodeRequestBody(req, &body);
   WireRequest out;
   ASSERT_TRUE(DecodeRequestBody(body, &out).ok());
-  EXPECT_EQ(out.version, kWireVersion);
+  EXPECT_EQ(static_cast<uint8_t>(body[0]), kWireVersion);
   EXPECT_EQ(out.trace.trace_id, req.trace.trace_id);
   EXPECT_EQ(out.trace.parent_span, 3u);
   EXPECT_TRUE(out.trace.sampled);
   EXPECT_TRUE(out.want_explain);
 
-  // A context-free v4 request decodes to an invalid (zero) context.
+  // A context-free request decodes to an invalid (zero) context.
   WireRequest plain;
   plain.op = WireOp::kQuery;
   plain.id = 78;
@@ -158,57 +157,11 @@ TEST(ProtocolV4Test, ResponseTraceAndExplainRoundTrip) {
   EXPECT_EQ(out.explain.shards[0].entries_read, 40u);
   EXPECT_EQ(out.explain.shards[0].micros, 123);
 
-  // Truncating anywhere inside the v4 sections is still corruption.
+  // Truncating anywhere inside the trace/explain sections is corruption.
   for (size_t len = body.size() - 40; len < body.size(); ++len) {
     WireResponse trunc;
     EXPECT_FALSE(DecodeResponseBody(body.substr(0, len), &trunc).ok());
   }
-}
-
-TEST(ProtocolV4Test, V3BodiesDropV4SectionsAndInteroperate) {
-  // Encoding at v3 must produce a body with none of the v4 sections, even
-  // when the structs carry them — that is the downgrade path.
-  WireRequest req;
-  req.version = kMinWireVersion;
-  req.op = WireOp::kQuery;
-  req.id = 5;
-  req.xpath = "/a/b";
-  req.trace.trace_id = 99;
-  req.trace.sampled = true;
-  req.want_explain = true;
-  std::string v3_body;
-  EncodeRequestBody(req, &v3_body);
-
-  WireRequest v4_same = req;
-  v4_same.version = kWireVersion;
-  std::string v4_body;
-  EncodeRequestBody(v4_same, &v4_body);
-  EXPECT_LT(v3_body.size(), v4_body.size());
-
-  WireRequest out;
-  ASSERT_TRUE(DecodeRequestBody(v3_body, &out).ok());
-  EXPECT_EQ(out.version, kMinWireVersion);
-  EXPECT_FALSE(out.trace.valid());  // context cannot ride a v3 body
-  EXPECT_FALSE(out.want_explain);
-
-  WireResponse resp;
-  resp.version = kMinWireVersion;
-  resp.op = WireOp::kQuery;
-  resp.id = 5;
-  resp.docs = {1};
-  resp.has_trace = true;
-  resp.trace.trace_id = 7;
-  resp.trace.spans.push_back(MakeSpan("serve", obs::kNoSpan, 0, 1));
-  resp.has_explain = true;
-  resp.explain.sequences = 1;
-  std::string v3_resp;
-  EncodeResponseBody(resp, &v3_resp);
-  WireResponse rout;
-  ASSERT_TRUE(DecodeResponseBody(v3_resp, &rout).ok());
-  EXPECT_EQ(rout.version, kMinWireVersion);
-  EXPECT_FALSE(rout.has_trace);
-  EXPECT_FALSE(rout.has_explain);
-  EXPECT_EQ(rout.docs, resp.docs);
 }
 
 TEST(ProtocolV4Test, ZeroTraceIdInContextIsCorruption) {
@@ -220,7 +173,7 @@ TEST(ProtocolV4Test, ZeroTraceIdInContextIsCorruption) {
   req.trace.sampled = true;
   std::string body;
   EncodeRequestBody(req, &body);
-  // The trace context is the final 17 bytes of a trace-only v4 query body:
+  // The trace context is the final 17 bytes of a trace-only query body:
   // u64 trace id, u64 parent span, u8 sampled. Zero the id in place.
   ASSERT_GE(body.size(), 17u);
   for (size_t i = body.size() - 17; i < body.size() - 9; ++i) body[i] = '\0';
@@ -247,122 +200,6 @@ TEST(ProtocolV4Test, MetricsOpRoundTrip) {
   WireResponse rout;
   ASSERT_TRUE(DecodeResponseBody(rbody, &rout).ok());
   EXPECT_EQ(rout.payload, resp.payload);
-}
-
-// ---------------------------------------------------------------------------
-// Version negotiation, server side: a v3-encoded request against a live
-// (v4) server is answered with a v3 body.
-
-TEST(NegotiationTest, V4ServerAnswersV3PeerAtV3) {
-  MemorySocketEnv env;
-  CollectionIndex idx = MakeIndex(Corpus());
-  ServerOptions options;
-  options.host = "mem";
-  options.socket_env = &env;
-  XseqServer server(
-      [&](std::string_view xpath, const ExecOptions& opts) {
-        return idx.Query(xpath, opts);
-      },
-      options);
-  ASSERT_TRUE(server.Start().ok());
-
-  auto conn = env.Connect("mem", server.port());
-  ASSERT_TRUE(conn.ok());
-  WireRequest req;
-  req.version = kMinWireVersion;  // we are an old client
-  req.op = WireOp::kQuery;
-  req.id = 1;
-  req.xpath = "/a/b";
-  std::string body;
-  EncodeRequestBody(req, &body);
-  ASSERT_TRUE(WriteFrame(conn->get(), body).ok());
-  std::string resp_body;
-  ASSERT_TRUE(ReadFrame(conn->get(), &resp_body).ok());
-  ASSERT_FALSE(resp_body.empty());
-  EXPECT_EQ(static_cast<uint8_t>(resp_body[0]), kMinWireVersion)
-      << "server must answer at the peer's version";
-  WireResponse resp;
-  ASSERT_TRUE(DecodeResponseBody(resp_body, &resp).ok());
-  EXPECT_TRUE(resp.status.ok());
-  EXPECT_EQ(resp.docs, idx.Query("/a/b")->docs);
-  EXPECT_FALSE(resp.has_trace);
-  EXPECT_FALSE(resp.has_explain);
-  (*conn)->Close();
-  server.Stop();
-}
-
-// ---------------------------------------------------------------------------
-// Version negotiation, client side: against an old (v3-only) daemon the
-// client downgrades, reconnects, and replays — once, invisibly.
-
-TEST(NegotiationTest, ClientDowngradesAgainstV3OnlyServer) {
-  MemorySocketEnv env;
-  auto listener = env.Listen("mem-v3", 0);
-  ASSERT_TRUE(listener.ok());
-  const int port = (*listener)->port();
-
-  // A hand-rolled v3-only server: any body whose version byte is not 3
-  // gets the negotiation error and a closed connection, exactly like an
-  // old build's decoder would produce.
-  std::thread old_server([&] {
-    for (;;) {
-      auto conn = (*listener)->Accept();
-      if (!conn.ok()) return;
-      for (;;) {
-        std::string body;
-        if (!ReadFrame(conn->get(), &body, /*eof_ok=*/true).ok()) break;
-        if (body.empty()) break;
-        if (static_cast<uint8_t>(body[0]) != kMinWireVersion) {
-          WireResponse err;
-          err.version = kMinWireVersion;
-          err.op = WireOp::kPing;
-          err.id = 0;
-          err.status = Status::Unimplemented(
-              "wire protocol version 4 is not supported; this build speaks"
-              " version 3");
-          std::string out;
-          EncodeResponseBody(err, &out);
-          (void)WriteFrame(conn->get(), out);
-          break;  // old servers close after a version mismatch
-        }
-        WireRequest req;
-        if (!DecodeRequestBody(body, &req).ok()) break;
-        WireResponse resp;
-        resp.version = req.version;
-        resp.op = req.op;
-        resp.id = req.id;
-        if (req.op == WireOp::kQuery) resp.docs = {1, 2, 3};
-        std::string out;
-        EncodeResponseBody(resp, &out);
-        if (!WriteFrame(conn->get(), out).ok()) break;
-      }
-      (*conn)->Close();
-    }
-  });
-
-  auto client = XseqClient::Connect("mem-v3", port, &env);
-  ASSERT_TRUE(client.ok());
-  EXPECT_EQ(client->wire_version(), kWireVersion);
-  // Even a traced, explained query succeeds — the v4 extras just drop
-  // away on the downgraded connection.
-  obs::Tracer tracer(4);
-  client->set_tracer(&tracer);
-  auto r = client->Query("/a/b", 0, /*want_explain=*/true);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->docs, (std::vector<DocId>{1, 2, 3}));
-  EXPECT_EQ(client->wire_version(), kMinWireVersion);
-  EXPECT_FALSE(r->has_explain);
-  // A second query stays on the downgraded connection (no extra probe).
-  auto r2 = client->Query("/a/b");
-  ASSERT_TRUE(r2.ok());
-  // The metrics op needs v4 and fails locally, without a round trip.
-  auto metrics = client->Metrics();
-  ASSERT_FALSE(metrics.ok());
-  EXPECT_TRUE(metrics.status().IsUnimplemented());
-
-  client->Close();
-  (*listener)->Close();
-  old_server.join();
 }
 
 // ---------------------------------------------------------------------------

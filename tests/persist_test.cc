@@ -268,6 +268,26 @@ TEST(Format, LegacyUnversionedMagicRejectedWithClearMessage) {
   EXPECT_NE(st.message().find("rebuild"), std::string::npos);
 }
 
+TEST(Format, OlderVersionsAskForARebuild) {
+  CollectionIndex idx = testing::MakeIndex({"P(R(L('x')))"});
+  std::string data = EncodeCollectionIndex(idx);
+  for (uint8_t old_version : {uint8_t{2}, uint8_t{3}}) {
+    data[7] = static_cast<char>(old_version);
+    Status st = DecodeCollectionIndex(data).status();
+    EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+    EXPECT_NE(st.message().find("rebuild"), std::string::npos)
+        << st.ToString();
+    // Inspection names the version and refuses it the same way.
+    IndexFileReport report = InspectEncodedIndex(data);
+    EXPECT_TRUE(report.magic_ok);
+    EXPECT_EQ(report.version, old_version);
+    EXPECT_FALSE(report.version_supported);
+    EXPECT_TRUE(report.status.IsInvalidArgument())
+        << report.status.ToString();
+    EXPECT_TRUE(report.sections.empty());
+  }
+}
+
 TEST(Format, SectionErrorsAreAttributed) {
   CollectionIndex idx = testing::MakeIndex({"P(R(L('x')))", "P(D)"});
   std::string data = EncodeCollectionIndex(idx);

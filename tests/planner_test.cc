@@ -197,7 +197,9 @@ TEST(PlanCacheTest, LruEvictionRespectsEntryBudget) {
   opts.max_entries = 4;
   PlanCache cache(opts);
   for (int i = 0; i < 8; ++i) {
-    cache.Insert(1, "q" + std::to_string(i), TinyPlan());
+    std::string key = "q";
+    key += std::to_string(i);
+    cache.Insert(1, key, TinyPlan());
   }
   PlanCache::Stats stats = cache.GetStats();
   EXPECT_EQ(stats.insertions, 8u);
@@ -321,7 +323,9 @@ TEST(ResultCacheTest, EvictsPastBudgetAndCountsStats) {
   opts.max_entries = 3;
   ResultCache cache(opts);
   for (int i = 0; i < 6; ++i) {
-    cache.Insert(1, "q" + std::to_string(i), SmallResult({DocId(i)}));
+    std::string key = "q";
+    key += std::to_string(i);
+    cache.Insert(1, key, SmallResult({DocId(i)}));
   }
   ResultCache::Stats stats = cache.GetStats();
   EXPECT_EQ(stats.entries, 3u);

@@ -250,7 +250,11 @@ TEST(Executor, DocIdsArbitrary) {
 TEST(Matcher, DeepChainDocuments) {
   // 200-deep unary chains must not overflow anything.
   std::string spec;
-  for (int i = 0; i < 200; ++i) spec += "n" + std::to_string(i) + "(";
+  for (int i = 0; i < 200; ++i) {
+    spec += "n";
+    spec += std::to_string(i);
+    spec += "(";
+  }
   spec += "'leaf'";
   for (int i = 0; i < 200; ++i) spec += ")";
   CollectionIndex idx = testing::MakeIndex({spec});

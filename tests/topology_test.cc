@@ -3,7 +3,7 @@
 // hot-swap pipeline (validation, canaries, rollback, RCU swap under
 // concurrent query load), the offline reshard (differential against the
 // source and against a fresh build), the reload wire op end to end, and
-// protocol version negotiation.
+// the clean refusal of other wire protocol versions.
 
 #include <gtest/gtest.h>
 
@@ -625,11 +625,13 @@ TEST(ReloadWireTest, ServerWithoutHandlerAnswersUnimplemented) {
 }
 
 // ---------------------------------------------------------------------------
-// Protocol version negotiation.
+// Protocol version mismatch.
 
 TEST(ProtocolVersionTest, MismatchNamesBothVersionsCleanly) {
-  // Hand-build a v1-era ping request body: version byte, op byte, u64 id.
-  for (uint8_t old_version : {uint8_t{1}, uint8_t{2}, uint8_t{9}}) {
+  // Hand-build a ping request body at every other version the protocol
+  // has had, and a future one: version byte, op byte, u64 id.
+  for (uint8_t old_version :
+       {uint8_t{1}, uint8_t{2}, uint8_t{3}, uint8_t{4}, uint8_t{9}}) {
     std::string body;
     body.push_back(static_cast<char>(old_version));
     body.push_back(static_cast<char>(WireOp::kPing));
@@ -666,27 +668,45 @@ TEST(ProtocolVersionTest, OldClientGetsCleanErrorFromServerNoHang) {
       options);
   ASSERT_TRUE(server.Start().ok());
 
-  // Speak "version 1" at the raw frame level, as an old client binary
-  // would: a well-formed frame whose body leads with the old version byte.
-  auto conn = env.Connect("mem", server.port());
-  ASSERT_TRUE(conn.ok());
-  std::string body;
-  body.push_back(1);  // wire version 1
-  body.push_back(static_cast<char>(WireOp::kPing));
-  PutFixed64(&body, 1);
-  ASSERT_TRUE(WriteFrame(conn->get(), body).ok());
+  // Speak old versions at the raw frame level, as old client binaries
+  // would: well-formed frames whose bodies lead with the old version byte.
+  // A v1 ping, and a v3 query (xpath + deadline, no flag byte).
+  std::string v1_ping;
+  v1_ping.push_back(1);
+  v1_ping.push_back(static_cast<char>(WireOp::kPing));
+  PutFixed64(&v1_ping, 1);
+  std::string v3_query;
+  v3_query.push_back(3);
+  v3_query.push_back(static_cast<char>(WireOp::kQuery));
+  PutFixed64(&v3_query, 1);
+  PutString(&v3_query, "/a/b");
+  PutFixed64(&v3_query, 0);
+  for (const std::string& body : {v1_ping, v3_query}) {
+    auto conn = env.Connect("mem", server.port());
+    ASSERT_TRUE(conn.ok());
+    ASSERT_TRUE(WriteFrame(conn->get(), body).ok());
 
-  // The server answers one well-formed error frame, then closes (framing
-  // cannot be trusted across versions). Neither side hangs.
-  std::string resp_body;
-  ASSERT_TRUE(ReadFrame(conn->get(), &resp_body).ok());
-  WireResponse resp;
-  ASSERT_TRUE(DecodeResponseBody(resp_body, &resp).ok());
-  EXPECT_EQ(resp.status.code(), StatusCode::kUnimplemented);
-  EXPECT_NE(resp.status.message().find("version"), std::string::npos)
-      << resp.status.ToString();
-  std::string next;
-  EXPECT_FALSE(ReadFrame(conn->get(), &next, /*eof_ok=*/true).ok());
+    // The server answers one well-formed error frame naming both versions,
+    // then closes (framing cannot be trusted across versions). Neither
+    // side hangs.
+    std::string resp_body;
+    ASSERT_TRUE(ReadFrame(conn->get(), &resp_body).ok());
+    WireResponse resp;
+    ASSERT_TRUE(DecodeResponseBody(resp_body, &resp).ok());
+    // ASSERT: a server that answered the body would keep the connection
+    // open, and the closed-connection read below would block.
+    ASSERT_EQ(resp.status.code(), StatusCode::kUnimplemented)
+        << resp.status.ToString();
+    EXPECT_NE(resp.status.message().find(
+                  "version " + std::to_string(int{body[0]})),
+              std::string::npos)
+        << resp.status.ToString();
+    EXPECT_NE(resp.status.message().find(std::to_string(kWireVersion)),
+              std::string::npos)
+        << resp.status.ToString();
+    std::string next;
+    EXPECT_FALSE(ReadFrame(conn->get(), &next, /*eof_ok=*/true).ok());
+  }
   server.Stop();
 }
 

@@ -3,9 +3,8 @@
 // fuzz required of the parser), range queries end to end against a
 // brute-force oracle in all three value modes, mutable documents
 // (delete/update/compact) on DynamicIndex and ShardedCollection with
-// randomized interleaved mutate/query schedules, and the v5 wire protocol
-// that carries mutations (encode/decode, version gating, end-to-end server
-// round trips, downgrade behavior).
+// randomized interleaved mutate/query schedules, and the wire ops that
+// carry mutations (encode/decode, end-to-end server round trips).
 
 #include <gtest/gtest.h>
 
@@ -15,7 +14,6 @@
 #include <memory>
 #include <random>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/core/collection_index.h"
@@ -432,7 +430,6 @@ TEST_P(VindexModeTest, RangeQueriesMatchBruteOracle) {
   IndexOptions opts;
   opts.value_mode = GetParam();
   CollectionIndex idx = MakeIndex(CorpusSpecs(), opts);
-  ASSERT_TRUE(idx.has_vindex());
   ASSERT_TRUE(idx.vindex().Validate().ok());
   EXPECT_GT(idx.vindex().entry_count(), 0u);
   for (const std::string& q : RangeQueries()) {
@@ -495,15 +492,13 @@ INSTANTIATE_TEST_SUITE_P(AllModes, VindexModeTest,
                                            ValueMode::kCharSequence));
 
 // ---------------------------------------------------------------------------
-// Persistence: v4 images carry the vindex; v3 images load without it and
-// fail range queries cleanly.
+// Persistence: the image carries the vindex.
 
 TEST(VindexPersistTest, V4ImageRoundTripsValueIndex) {
   CollectionIndex idx = MakeIndex(CorpusSpecs());
   const std::string bytes = EncodeCollectionIndex(idx);
   auto back = DecodeCollectionIndex(bytes);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
-  ASSERT_TRUE(back->has_vindex());
   ASSERT_TRUE(back->vindex().Validate().ok());
   EXPECT_EQ(back->vindex().entry_count(), idx.vindex().entry_count());
   for (const std::string& q : RangeQueries()) {
@@ -515,33 +510,12 @@ TEST(VindexPersistTest, V4ImageRoundTripsValueIndex) {
   }
 }
 
-TEST(VindexPersistTest, V3ImageLoadsButRefusesRangeQueries) {
-  CollectionIndex idx = MakeIndex(CorpusSpecs());
-  const std::string bytes = EncodeCollectionIndex(idx, /*version=*/3);
-  auto back = DecodeCollectionIndex(bytes);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_FALSE(back->has_vindex());
-  // Exact queries are unaffected by the missing section...
-  auto exact = back->Query("/a/b[c='7']");
-  ASSERT_TRUE(exact.ok());
-  auto want = idx.Query("/a/b[c='7']");
-  ASSERT_TRUE(want.ok());
-  EXPECT_EQ(exact->docs, want->docs);
-  // ...while a comparison query fails with a clear precondition, never a
-  // silent empty answer.
-  auto range = back->Query("/a[b < 30]");
-  ASSERT_FALSE(range.ok());
-  EXPECT_TRUE(range.status().IsFailedPrecondition())
-      << range.status().ToString();
-  EXPECT_NE(range.status().message().find("rebuild"), std::string::npos);
-}
-
 TEST(VindexPersistTest, InspectReportsVindexSection) {
   CollectionIndex idx = MakeIndex(CorpusSpecs());
-  IndexFileReport v4 = InspectEncodedIndex(EncodeCollectionIndex(idx));
-  ASSERT_TRUE(v4.magic_ok);
+  IndexFileReport report = InspectEncodedIndex(EncodeCollectionIndex(idx));
+  ASSERT_TRUE(report.magic_ok);
   bool has_section = false;
-  for (const IndexSectionInfo& s : v4.sections) {
+  for (const IndexSectionInfo& s : report.sections) {
     if (s.name == "vindex") {
       has_section = true;
       EXPECT_TRUE(s.checksum_ok);
@@ -549,16 +523,8 @@ TEST(VindexPersistTest, InspectReportsVindexSection) {
     }
   }
   EXPECT_TRUE(has_section);
-  EXPECT_EQ(v4.vindex_entries, idx.vindex().entry_count());
-  EXPECT_EQ(v4.vindex_paths, idx.vindex().path_count());
-
-  IndexFileReport v3 =
-      InspectEncodedIndex(EncodeCollectionIndex(idx, /*version=*/3));
-  ASSERT_TRUE(v3.magic_ok);
-  for (const IndexSectionInfo& s : v3.sections) {
-    EXPECT_NE(s.name, "vindex");
-  }
-  EXPECT_EQ(v3.vindex_entries, 0u);
+  EXPECT_EQ(report.vindex_entries, idx.vindex().entry_count());
+  EXPECT_EQ(report.vindex_paths, idx.vindex().path_count());
 }
 
 // ---------------------------------------------------------------------------
@@ -840,7 +806,7 @@ TEST(ShardedMutationTest, StaticBackendRefusesMutations) {
 }
 
 // ---------------------------------------------------------------------------
-// Wire protocol v5: encode/decode, version gating, end-to-end mutations.
+// Wire mutation ops: encode/decode, end-to-end mutations.
 
 TEST(WireV5Test, MutationRequestsRoundTrip) {
   WireRequest del;
@@ -860,7 +826,7 @@ TEST(WireV5Test, MutationRequestsRoundTrip) {
     EncodeRequestBody(*req, &body);
     WireRequest back;
     ASSERT_TRUE(DecodeRequestBody(body, &back).ok());
-    EXPECT_EQ(back.version, kWireVersion);
+    EXPECT_EQ(static_cast<uint8_t>(body[0]), kWireVersion);
     EXPECT_EQ(back.op, req->op);
     EXPECT_EQ(back.id, req->id);
     EXPECT_EQ(back.doc_id, req->doc_id);
@@ -889,26 +855,6 @@ TEST(WireV5Test, MutationAcksCarryTheGeneration) {
     EXPECT_EQ(back.op, op);
     EXPECT_EQ(back.generation, resp.generation);
   }
-}
-
-TEST(WireV5Test, PreV5BodyWithMutationOpIsCorrupt) {
-  // A v4 body can never legitimately carry op 7/8/9 — an actual v4 build
-  // has never heard of them. The decoder must answer exactly what that
-  // build would: kCorruption, not a version bounce.
-  WireRequest req;
-  req.version = 4;
-  req.op = WireOp::kDelete;
-  req.id = 1;
-  req.doc_id = 2;
-  std::string body;
-  EncodeRequestBody(req, &body);
-  WireRequest back;
-  Status st = DecodeRequestBody(body, &back);
-  ASSERT_FALSE(st.ok());
-  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
-  EXPECT_NE(st.message().find("requires protocol version 5"),
-            std::string::npos)
-      << st.ToString();
 }
 
 /// End-to-end fixture mirroring server_test.cc's, plus mutation handlers.
@@ -1035,74 +981,6 @@ TEST_F(VindexServerTest, ImmutableBackendAnswersUnimplemented) {
   EXPECT_EQ(range->docs, want->docs);
   client.Close();
   server_->Stop();
-}
-
-TEST(WireV5Test, DowngradedClientFailsMutationsLocally) {
-  MemorySocketEnv env;
-  auto listener = env.Listen("mem-v3", 0);
-  ASSERT_TRUE(listener.ok());
-  const int port = (*listener)->port();
-
-  // A hand-rolled v3-only server, as in observability_test: any body whose
-  // version byte is not 3 gets the negotiation error and a closed
-  // connection.
-  std::thread old_server([&] {
-    for (;;) {
-      auto conn = (*listener)->Accept();
-      if (!conn.ok()) return;
-      for (;;) {
-        std::string body;
-        if (!ReadFrame(conn->get(), &body, /*eof_ok=*/true).ok()) break;
-        if (body.empty()) break;
-        if (static_cast<uint8_t>(body[0]) != kMinWireVersion) {
-          WireResponse err;
-          err.version = kMinWireVersion;
-          err.op = WireOp::kPing;
-          err.id = 0;
-          err.status = Status::Unimplemented(
-              "wire protocol version 5 is not supported; this build speaks"
-              " version 3");
-          std::string out;
-          EncodeResponseBody(err, &out);
-          (void)WriteFrame(conn->get(), out);
-          break;
-        }
-        WireRequest req;
-        if (!DecodeRequestBody(body, &req).ok()) break;
-        WireResponse resp;
-        resp.version = req.version;
-        resp.op = req.op;
-        resp.id = req.id;
-        std::string out;
-        EncodeResponseBody(resp, &out);
-        if (!WriteFrame(conn->get(), out).ok()) break;
-      }
-      (*conn)->Close();
-    }
-  });
-
-  auto client = XseqClient::Connect("mem-v3", port, &env);
-  ASSERT_TRUE(client.ok());
-  ASSERT_TRUE(client->Ping().ok());  // triggers the downgrade
-  EXPECT_EQ(client->wire_version(), kMinWireVersion);
-  // Mutations must fail locally — never silently dropped on an old server,
-  // and never a wasted round trip.
-  auto del = client->Delete(1);
-  ASSERT_FALSE(del.ok());
-  EXPECT_TRUE(del.status().IsUnimplemented());
-  EXPECT_NE(del.status().message().find("downgraded"), std::string::npos);
-  auto upd = client->Update(1, "<a/>");
-  ASSERT_FALSE(upd.ok());
-  EXPECT_TRUE(upd.status().IsUnimplemented());
-  auto cmp = client->Compact();
-  ASSERT_FALSE(cmp.ok());
-  EXPECT_TRUE(cmp.status().IsUnimplemented());
-  // The connection itself is still fine.
-  EXPECT_TRUE(client->Ping().ok());
-
-  client->Close();
-  (*listener)->Close();
-  old_server.join();
 }
 
 }  // namespace
