@@ -1,26 +1,27 @@
-// Link-compression harness: codec density and throughput, plus the wall
+// Link-compression harness: codec density and throughput, plus the CPU
 // cost of matching through the block-compressed link core against a flat
 // uncompressed accessor.
 //
 // Size is measured on the paper's size corpora — the two fig14 synthetic
 // configurations, the table5 XMark collection — plus the fig15
-// identical-siblings mix; wall clock is measured on the query corpora
-// (fig15 mix, table7 XMark queries).
+// identical-siblings mix; match cost is measured on the query corpora
+// (fig15 mix, table7 XMark queries) as thread CPU time, which does not
+// advance while the host deschedules the benchmark.
 //
 //   micro_compress [--docs=N] [--reps=R]
 //                  [--min_size_reduction_pct=30]
-//                  [--max_wall_regression_pct=10]
+//                  [--max_cpu_regression_pct=10]
 //                  [--out=bench/BENCH_compress.json]
 //
 // Emits one JSON object with a per-corpus array: packed vs logical link
 // bytes, bits per entry, and — for the query corpora — pack/unpack
-// throughput (million entries per second) and min-of-R wall clocks for
-// the compressed engine vs the flat baseline. Two gates make it a
+// throughput (million entries per CPU second) and min-of-R thread CPU
+// times for the compressed engine vs the flat baseline. Two gates make it a
 // regression harness: the packed link region summed over every corpus
 // must be at least --min_size_reduction_pct smaller than the flat
 // 12-byte-entry layout (per-corpus reductions are reported unmanaged —
 // an adversarial corpus may expand), and each query corpus's compressed
-// wall clock must stay within --max_wall_regression_pct of the flat
+// CPU time must stay within --max_cpu_regression_pct of the flat
 // accessor's. Violations exit 1.
 
 #include <algorithm>
@@ -67,7 +68,7 @@ struct FlatLinks {
   }
 };
 
-/// Accessor over FlatLinks — the uncompressed wall-clock baseline. Runs
+/// Accessor over FlatLinks — the uncompressed CPU-time baseline. Runs
 /// the identical MatchCore; only link reads differ (direct array loads,
 /// no block decode, no cache).
 class FlatAccessor {
@@ -122,12 +123,12 @@ class FlatAccessor {
 struct Corpus {
   std::string name;
   std::unique_ptr<CollectionIndex> idx;
-  /// Query mix; empty for size-only corpora (no wall measurement).
+  /// Query mix; empty for size-only corpora (no CPU measurement).
   std::vector<std::vector<QuerySeq>> compiled;
-  /// Passes over the mix per timed rep: small mixes (table7's three
-  /// XPaths run in ~40us) are looped until the timed region is
-  /// milliseconds, else the wall gate flaps on scheduler noise.
-  int wall_iters = 1;
+  /// Passes over the mix per rep: small mixes (table7's three XPaths run
+  /// in ~40us) are looped until a rep is tens of milliseconds of work,
+  /// else the CPU gate flaps on timer granularity.
+  int cpu_iters = 1;
 };
 
 /// Size-only corpus: one of the two fig14 synthetic configurations.
@@ -197,13 +198,13 @@ Corpus MakeTable7Corpus(DocId docs) {
       c.compiled.push_back(std::move(*compiled));
     }
   }
-  c.wall_iters = 512;
+  c.cpu_iters = 512;
   return c;
 }
 
 struct CorpusResult {
   std::string name;
-  bool has_wall = false;
+  bool has_cpu = false;
   uint64_t entries = 0;
   uint64_t packed_bytes = 0;
   uint64_t logical_bytes = 0;
@@ -211,20 +212,20 @@ struct CorpusResult {
   double reduction_pct = 0.0;
   double pack_mentries_s = 0.0;
   double unpack_mentries_s = 0.0;
-  double wall_compressed_ms = 0.0;
-  double wall_flat_ms = 0.0;
-  double wall_delta_pct = 0.0;
+  double cpu_compressed_ms = 0.0;
+  double cpu_flat_ms = 0.0;
+  double cpu_delta_pct = 0.0;
   // Sanity: both engines must produce the same answers.
   uint64_t result_docs_compressed = 0;
   uint64_t result_docs_flat = 0;
 };
 
-/// Min-of-reps wall clock of one full query mix through `run`.
+/// Min-of-reps thread CPU time of one full pass of `run`.
 template <typename RunFn>
-double MinWallMs(int reps, const RunFn& run) {
+double MinCpuMs(int reps, const RunFn& run) {
   double best = 1e300;
   for (int r = 0; r < reps; ++r) {
-    Timer timer;
+    ThreadCpuTimer timer;
     run();
     best = std::min(best, timer.ElapsedMillis());
   }
@@ -235,7 +236,7 @@ CorpusResult Measure(const Corpus& c, const FlatLinks& flat, int reps) {
   const FrozenIndex& fi = c.idx->index();
   CorpusResult r;
   r.name = c.name;
-  r.has_wall = !c.compiled.empty();
+  r.has_cpu = !c.compiled.empty();
   r.entries = flat.off.back();
   r.packed_bytes = fi.PackedLinkBytes();
   r.logical_bytes = fi.LogicalLinkBytes();
@@ -249,12 +250,12 @@ CorpusResult Measure(const Corpus& c, const FlatLinks& flat, int reps) {
           ? 100.0 * (1.0 - static_cast<double>(r.packed_bytes) /
                                static_cast<double>(r.logical_bytes))
           : 0.0;
-  if (!r.has_wall) return r;
+  if (!r.has_cpu) return r;
 
   // Pack throughput: re-encode every link from the flat arrays.
   {
     uint64_t packed_entries = 0;
-    double ms = MinWallMs(reps, [&] {
+    double ms = MinCpuMs(reps, [&] {
       std::vector<uint64_t> words;
       words.reserve(fi.link_words().size());
       packed_entries = 0;
@@ -277,7 +278,7 @@ CorpusResult Measure(const Corpus& c, const FlatLinks& flat, int reps) {
   // Unpack throughput: decode every block of every link.
   {
     uint64_t decoded = 0;
-    double ms = MinWallMs(reps, [&] {
+    double ms = MinCpuMs(reps, [&] {
       LinkBlockScratch scratch;
       decoded = 0;
       for (PathId p = 0; p < fi.distinct_paths(); ++p) {
@@ -291,75 +292,77 @@ CorpusResult Measure(const Corpus& c, const FlatLinks& flat, int reps) {
         ms > 0 ? static_cast<double>(decoded) / (ms * 1e3) : 0.0;
   }
 
-  // Wall clock, compressed engine vs flat accessor, same sequences, same
-  // MatchCore. Min over reps per engine de-noises scheduler spikes;
-  // wall_iters passes per rep keep the timed region in milliseconds.
-  MatchContext ctx;
-  auto run_compressed = [&] {
-    for (int it = 0; it < c.wall_iters; ++it) {
-      r.result_docs_compressed = 0;
-      for (const auto& seqs : c.compiled) {
-        std::vector<DocId> out;
-        for (const QuerySeq& qs : seqs) {
-          Status st = MatchSequence(fi, qs, MatchMode::kConstraint, &out,
-                                    nullptr, &ctx);
-          if (!st.ok()) {
-            std::fprintf(stderr, "match: %s\n", st.ToString().c_str());
-            std::exit(1);
-          }
+  // Thread CPU time, compressed engine vs flat accessor, same sequences,
+  // same MatchCore. Each engine keeps its own match context, as a serving
+  // worker does, so neither evicts the other's decoded blocks.
+  MatchContext compressed_ctx, flat_ctx;
+  const FlatAccessor flat_acc(fi, flat);
+  // Matches one query of the mix `iters` times through one engine and
+  // returns its result-doc count.
+  auto run = [&](bool compressed, const std::vector<QuerySeq>& seqs,
+                 int iters) {
+    uint64_t docs = 0;
+    for (int it = 0; it < iters; ++it) {
+      std::vector<DocId> out;
+      for (const QuerySeq& qs : seqs) {
+        Status st = compressed
+                        ? MatchSequence(fi, qs, MatchMode::kConstraint, &out,
+                                        nullptr, &compressed_ctx)
+                        : internal::MatchCore(flat_acc, qs,
+                                              MatchMode::kConstraint, &out,
+                                              nullptr, &flat_ctx);
+        if (!st.ok()) {
+          std::fprintf(stderr, "%s match: %s\n",
+                       compressed ? "compressed" : "flat",
+                       st.ToString().c_str());
+          std::exit(1);
         }
-        std::sort(out.begin(), out.end());
-        out.erase(std::unique(out.begin(), out.end()), out.end());
-        r.result_docs_compressed += out.size();
       }
+      std::sort(out.begin(), out.end());
+      out.erase(std::unique(out.begin(), out.end()), out.end());
+      docs = out.size();
     }
+    return docs;
   };
-  auto run_flat = [&] {
-    FlatAccessor acc(fi, flat);
-    for (int it = 0; it < c.wall_iters; ++it) {
-      r.result_docs_flat = 0;
-      for (const auto& seqs : c.compiled) {
-        std::vector<DocId> out;
-        for (const QuerySeq& qs : seqs) {
-          Status st = internal::MatchCore(acc, qs, MatchMode::kConstraint,
-                                          &out, nullptr, &ctx);
-          if (!st.ok()) {
-            std::fprintf(stderr, "flat match: %s\n",
-                         st.ToString().c_str());
-            std::exit(1);
-          }
-        }
-        std::sort(out.begin(), out.end());
-        out.erase(std::unique(out.begin(), out.end()), out.end());
-        r.result_docs_flat += out.size();
-      }
-    }
-  };
-  // One untimed pass per engine warms the block cache, the page cache
-  // and the CPU governor. Each rep then times the two engines back to
-  // back and keeps their ratio: within one ~100ms pair the machine's
-  // frequency/scheduler drift is shared, so the ratio is far more stable
-  // than the two absolute clocks it divides — and the median over reps
-  // shrugs off the odd preempted pair that would flap a min-based gate.
-  run_compressed();
-  run_flat();
-  const double iters = static_cast<double>(c.wall_iters);
+  // One untimed pass per engine warms the block cache, the page cache and
+  // the CPU governor. A rep then runs the mix in blocks of one query and
+  // at most 32 iterations (about a millisecond), the two engines back to
+  // back per block with the first one alternating, and keeps the ratio of
+  // their summed thread CPU times. A slowdown of the host lasts longer
+  // than one block pair, so it hits both engines alike; the median over
+  // reps shrugs off the odd disturbed rep that would flap a min-based gate.
+  for (const auto& seqs : c.compiled) {
+    r.result_docs_compressed += run(true, seqs, 1);
+    r.result_docs_flat += run(false, seqs, 1);
+  }
+  const int block_iters = std::min(c.cpu_iters, 32);
+  const double iters = static_cast<double>(c.cpu_iters);
   double best_compressed = 1e300, best_flat = 1e300;
   std::vector<double> ratios;
   ratios.reserve(static_cast<size_t>(reps));
   for (int rep = 0; rep < reps; ++rep) {
-    const double tc = MinWallMs(1, run_compressed);
-    const double tf = MinWallMs(1, run_flat);
+    double tc = 0.0, tf = 0.0;
+    size_t turn = static_cast<size_t>(rep);
+    for (int done = 0; done < c.cpu_iters; done += block_iters) {
+      for (const auto& seqs : c.compiled) {
+        const bool compressed_first = turn++ % 2 == 0;
+        for (bool compressed : {compressed_first, !compressed_first}) {
+          ThreadCpuTimer timer;
+          run(compressed, seqs, block_iters);
+          (compressed ? tc : tf) += timer.ElapsedMillis();
+        }
+      }
+    }
     best_compressed = std::min(best_compressed, tc);
     best_flat = std::min(best_flat, tf);
     if (tf > 0) ratios.push_back(tc / tf);
   }
-  r.wall_compressed_ms = best_compressed / iters;
-  r.wall_flat_ms = best_flat / iters;
+  r.cpu_compressed_ms = best_compressed / iters;
+  r.cpu_flat_ms = best_flat / iters;
   if (!ratios.empty()) {
     std::nth_element(ratios.begin(), ratios.begin() + ratios.size() / 2,
                      ratios.end());
-    r.wall_delta_pct = 100.0 * (ratios[ratios.size() / 2] - 1.0);
+    r.cpu_delta_pct = 100.0 * (ratios[ratios.size() / 2] - 1.0);
   }
   return r;
 }
@@ -369,8 +372,8 @@ int Run(const FlagSet& flags) {
   const int reps = static_cast<int>(flags.GetInt("reps", 3));
   const double min_size_reduction =
       flags.GetDouble("min_size_reduction_pct", 30.0);
-  const double max_wall_regression =
-      flags.GetDouble("max_wall_regression_pct", 10.0);
+  const double max_cpu_regression =
+      flags.GetDouble("max_cpu_regression_pct", 10.0);
   const std::string out_path =
       flags.GetString("out", "bench/BENCH_compress.json");
 
@@ -396,14 +399,14 @@ int Run(const FlagSet& flags) {
         "%-26s %8llu entries  %6.2f bits/entry  %5.1f%% smaller\n",
         r.name.c_str(), static_cast<unsigned long long>(r.entries),
         r.bits_per_entry, r.reduction_pct);
-    if (!r.has_wall) continue;
+    if (!r.has_cpu) continue;
     std::printf(
         "%-26s pack %7.1f Me/s   unpack %7.1f Me/s\n", "",
         r.pack_mentries_s, r.unpack_mentries_s);
     std::printf(
-        "%-26s wall %7.3f ms compressed vs %7.3f ms flat "
+        "%-26s cpu %7.3f ms compressed vs %7.3f ms flat "
         "(median pair delta %+.1f%%)\n",
-        "", r.wall_compressed_ms, r.wall_flat_ms, r.wall_delta_pct);
+        "", r.cpu_compressed_ms, r.cpu_flat_ms, r.cpu_delta_pct);
   }
   const double total_reduction =
       total_logical > 0
@@ -435,14 +438,14 @@ int Run(const FlagSet& flags) {
         static_cast<unsigned long long>(r.packed_bytes),
         static_cast<unsigned long long>(r.logical_bytes), r.bits_per_entry,
         r.reduction_pct);
-    if (r.has_wall) {
+    if (r.has_cpu) {
       std::fprintf(
           out,
           ",\"pack_mentries_s\":%.1f,\"unpack_mentries_s\":%.1f,"
-          "\"wall_compressed_ms\":%.3f,\"wall_flat_ms\":%.3f,"
-          "\"wall_delta_pct\":%.1f,\"result_docs\":%llu",
-          r.pack_mentries_s, r.unpack_mentries_s, r.wall_compressed_ms,
-          r.wall_flat_ms, r.wall_delta_pct,
+          "\"cpu_compressed_ms\":%.3f,\"cpu_flat_ms\":%.3f,"
+          "\"cpu_delta_pct\":%.1f,\"result_docs\":%llu",
+          r.pack_mentries_s, r.unpack_mentries_s, r.cpu_compressed_ms,
+          r.cpu_flat_ms, r.cpu_delta_pct,
           static_cast<unsigned long long>(r.result_docs_compressed));
     }
     std::fprintf(out, "}%s\n", i + 1 < results.size() ? "," : "");
@@ -466,7 +469,7 @@ int Run(const FlagSet& flags) {
     ++violations;
   }
   for (const CorpusResult& r : results) {
-    if (!r.has_wall) continue;
+    if (!r.has_cpu) continue;
     if (r.result_docs_compressed != r.result_docs_flat) {
       std::fprintf(
           stderr, "FAIL: %s result drift: %llu compressed vs %llu flat\n",
@@ -475,11 +478,11 @@ int Run(const FlagSet& flags) {
           static_cast<unsigned long long>(r.result_docs_flat));
       ++violations;
     }
-    if (r.wall_delta_pct > max_wall_regression) {
+    if (r.cpu_delta_pct > max_cpu_regression) {
       std::fprintf(stderr,
-                   "FAIL: %s compressed wall %.1f%% over flat (budget "
+                   "FAIL: %s compressed CPU %.1f%% over flat (budget "
                    "%.1f%%)\n",
-                   r.name.c_str(), r.wall_delta_pct, max_wall_regression);
+                   r.name.c_str(), r.cpu_delta_pct, max_cpu_regression);
       ++violations;
     }
   }

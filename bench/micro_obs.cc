@@ -7,15 +7,19 @@
 // Two modes:
 //   * default        — google-benchmark micros for the primitive costs
 //     (counter add, histogram record, the disabled-site guard).
-//   * --json=<path>  — the overhead workload. Each rep runs every config
-//     once, interleaved, and each config's score is the minimum wall time
-//     over --reps (default 9) reps: on a shared host the minimum is the
-//     least-noisy estimator of the true cost. Writes BENCH_obs.json and
-//     exits 1 when the metrics-enabled (tracing off) run is more than
-//     --max_overhead_pct (default 2) slower than the disabled run.
+//   * --json=<path>  — the overhead workload. Each rep runs every query
+//     under every config back to back (the first config rotating), timed
+//     in thread CPU time, which does not advance while a shared host
+//     deschedules the benchmark. A config's overhead is the median over
+//     --reps (default 9) of its per-rep time over the metrics-off time of
+//     the same rep: the configs of one query share the host's speed of that
+//     millisecond. Writes BENCH_obs.json and exits 1 when the
+//     metrics-enabled (tracing off) overhead exceeds --max_overhead_pct
+//     (default 2).
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -119,37 +123,84 @@ Workload MakeFig15Workload(DocId docs) {
   return w;
 }
 
-/// One pass over every query; returns total result docs (a checksum that
-/// also keeps the work from being optimized away).
-uint64_t RunQueries(const Workload& w, const ExecOptions& exec,
-                    obs::RequestLog* log = nullptr) {
-  uint64_t total = 0;
-  for (const QueryPattern& p : w.patterns) {
-    Timer timer;
-    auto r = w.idx->executor().ExecutePattern(p, /*stats=*/nullptr, exec);
-    if (!r.ok()) {
-      std::fprintf(stderr, "query: %s\n", r.status().ToString().c_str());
-      std::exit(1);
-    }
-    total += r->size();
-    if (log != nullptr) {
-      // What the serving layer pays per request: build the record, run the
-      // sampling policy, and (for the admitted minority) write one line.
-      obs::RequestLogRecord rec;
-      rec.latency_us = static_cast<uint64_t>(timer.ElapsedMicros());
-      rec.docs = r->size();
-      (void)log->Append(rec);
-    }
+/// Runs one query; returns its result-doc count (a checksum that also
+/// keeps the work from being optimized away).
+uint64_t RunQuery(const Workload& w, const QueryPattern& p,
+                  const ExecOptions& exec, obs::RequestLog* log) {
+  Timer timer;
+  auto r = w.idx->executor().ExecutePattern(p, /*stats=*/nullptr, exec);
+  if (!r.ok()) {
+    std::fprintf(stderr, "query: %s\n", r.status().ToString().c_str());
+    std::exit(1);
   }
-  return total;
+  if (log != nullptr) {
+    // What the serving layer pays per request: build the record, run the
+    // sampling policy, and (for the admitted minority) write one line.
+    obs::RequestLogRecord rec;
+    rec.latency_us = static_cast<uint64_t>(timer.ElapsedMicros());
+    rec.docs = r->size();
+    (void)log->Append(rec);
+  }
+  return r->size();
 }
 
+/// One observability configuration and its thread CPU time per rep.
 struct ConfigResult {
   std::string name;
-  double min_ms = 1e300;
-  double sum_ms = 0.0;
+  ExecOptions exec;
+  bool metrics = false;
+  obs::RequestLog* log = nullptr;
+  std::vector<double> ms;  ///< thread CPU time per rep
   uint64_t checksum = 0;
+
+  double MinMs() const { return *std::min_element(ms.begin(), ms.end()); }
+  double MeanMs() const {
+    double sum = 0.0;
+    for (double m : ms) sum += m;
+    return sum / static_cast<double>(ms.size());
+  }
+  /// Median over reps of this config's time over `base`'s, as a percent
+  /// overhead.
+  double OverheadPct(const ConfigResult& base) const {
+    std::vector<double> ratios;
+    for (size_t i = 0; i < ms.size(); ++i) {
+      ratios.push_back(ms[i] / base.ms[i]);
+    }
+    std::nth_element(ratios.begin(), ratios.begin() + ratios.size() / 2,
+                     ratios.end());
+    return 100.0 * (ratios[ratios.size() / 2] - 1.0);
+  }
 };
+
+/// One rep: every query runs under each config back to back, the first
+/// config rotating per query and rep, and each run's thread CPU time is
+/// added to its config. Configs measured within the same millisecond share
+/// the host's speed of that moment.
+void RunRep(const Workload& w, int rep, std::vector<ConfigResult>* cfgs) {
+  const size_t n = cfgs->size();
+  std::vector<double> ms(n, 0.0);
+  std::vector<uint64_t> docs(n, 0);
+  for (size_t q = 0; q < w.patterns.size(); ++q) {
+    for (size_t k = 0; k < n; ++k) {
+      const size_t i = (q + k + static_cast<size_t>(rep)) % n;
+      const ConfigResult& c = (*cfgs)[i];
+      obs::ScopedMetricsEnabled scoped(c.metrics);
+      ThreadCpuTimer timer;
+      docs[i] += RunQuery(w, w.patterns[q], c.exec, c.log);
+      ms[i] += timer.ElapsedMillis();
+    }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    ConfigResult& c = (*cfgs)[i];
+    c.ms.push_back(ms[i]);
+    if (c.checksum != 0 && c.checksum != docs[i]) {
+      std::fprintf(stderr, "nondeterministic results in %s\n",
+                   c.name.c_str());
+      std::exit(1);
+    }
+    c.checksum = docs[i];
+  }
+}
 
 int RunJsonMode(const FlagSet& flags) {
   const DocId docs = static_cast<DocId>(flags.GetInt("docs", 4000));
@@ -159,12 +210,6 @@ int RunJsonMode(const FlagSet& flags) {
   Workload w = MakeFig15Workload(docs);
   std::fprintf(stderr, "fig15 workload: %u docs, %zu queries, %d reps\n",
                static_cast<unsigned>(docs), w.patterns.size(), reps);
-
-  obs::Tracer tracer;
-  ConfigResult off{"metrics_off"};
-  ConfigResult on{"metrics_on"};
-  ConfigResult tracing{"tracing_on"};
-  ConfigResult logging{"logging_on"};
 
   // The access-log leg: tail-sampling at the serving default (1 in 100 OK
   // requests admitted; nothing in this workload sheds or misses a deadline)
@@ -181,52 +226,39 @@ int RunJsonMode(const FlagSet& flags) {
     return 1;
   }
 
-  auto measure = [&w](ConfigResult* cfg, const ExecOptions& exec,
-                      bool metrics, obs::RequestLog* log = nullptr) {
-    obs::ScopedMetricsEnabled scoped(metrics);
-    Timer timer;
-    uint64_t sum = RunQueries(w, exec, log);
-    double ms = timer.ElapsedMillis();
-    cfg->min_ms = std::min(cfg->min_ms, ms);
-    cfg->sum_ms += ms;
-    if (cfg->checksum == 0) {
-      cfg->checksum = sum;
-    } else if (cfg->checksum != sum) {
-      std::fprintf(stderr, "nondeterministic results in %s\n",
-                   cfg->name.c_str());
-      std::exit(1);
-    }
-  };
+  obs::Tracer tracer;
+  ExecOptions traced;
+  traced.tracer = &tracer;
+  std::vector<ConfigResult> cfgs(4);
+  cfgs[0].name = "metrics_off";
+  cfgs[1].name = "metrics_on";
+  cfgs[1].metrics = true;
+  cfgs[2].name = "tracing_on";
+  cfgs[2].exec = traced;
+  cfgs[2].metrics = true;
+  cfgs[3].name = "logging_on";
+  cfgs[3].exec = traced;
+  cfgs[3].metrics = true;
+  cfgs[3].log = request_log->get();
 
   // Warmup: fault in the index pages and the metric registrations.
-  measure(&on, ExecOptions{}, /*metrics=*/true);
-  on = ConfigResult{"metrics_on"};
+  RunRep(w, 0, &cfgs);
+  for (ConfigResult& c : cfgs) c.ms.clear();
+  for (int rep = 0; rep < reps; ++rep) RunRep(w, rep, &cfgs);
 
-  for (int rep = 0; rep < reps; ++rep) {
-    measure(&off, ExecOptions{}, /*metrics=*/false);
-    measure(&on, ExecOptions{}, /*metrics=*/true);
-    ExecOptions traced;
-    traced.tracer = &tracer;
-    measure(&tracing, traced, /*metrics=*/true);
-    measure(&logging, traced, /*metrics=*/true, request_log->get());
-  }
-
+  const ConfigResult& off = cfgs[0];
+  const ConfigResult& on = cfgs[1];
+  const ConfigResult& tracing = cfgs[2];
+  const ConfigResult& logging = cfgs[3];
   if (off.checksum != on.checksum || off.checksum != tracing.checksum ||
       off.checksum != logging.checksum) {
     std::fprintf(stderr, "result drift across configs\n");
     return 1;
   }
 
-  const double overhead_pct =
-      off.min_ms <= 0.0 ? 0.0 : (on.min_ms - off.min_ms) / off.min_ms * 100.0;
-  const double tracing_pct =
-      off.min_ms <= 0.0
-          ? 0.0
-          : (tracing.min_ms - off.min_ms) / off.min_ms * 100.0;
-  const double logging_pct =
-      off.min_ms <= 0.0
-          ? 0.0
-          : (logging.min_ms - off.min_ms) / off.min_ms * 100.0;
+  const double overhead_pct = on.OverheadPct(off);
+  const double tracing_pct = tracing.OverheadPct(off);
+  const double logging_pct = logging.OverheadPct(off);
   const bool pass = overhead_pct < max_overhead_pct;
 
   char buf[1024];
@@ -236,15 +268,13 @@ int RunJsonMode(const FlagSet& flags) {
                 "\"docs\":%u,\"queries\":%zu,\"reps\":%d,\"configs\":[\n",
                 static_cast<unsigned>(docs), w.patterns.size(), reps);
   json += buf;
-  const ConfigResult* cfgs[4] = {&off, &on, &tracing, &logging};
-  for (int i = 0; i < 4; ++i) {
+  for (size_t i = 0; i < cfgs.size(); ++i) {
     std::snprintf(buf, sizeof(buf),
-                  "{\"name\":\"%s\",\"min_wall_ms\":%.3f,"
-                  "\"mean_wall_ms\":%.3f,\"result_docs\":%llu}%s\n",
-                  cfgs[i]->name.c_str(), cfgs[i]->min_ms,
-                  cfgs[i]->sum_ms / reps,
-                  static_cast<unsigned long long>(cfgs[i]->checksum),
-                  i + 1 < 4 ? "," : "");
+                  "{\"name\":\"%s\",\"min_cpu_ms\":%.3f,"
+                  "\"mean_cpu_ms\":%.3f,\"result_docs\":%llu}%s\n",
+                  cfgs[i].name.c_str(), cfgs[i].MinMs(), cfgs[i].MeanMs(),
+                  static_cast<unsigned long long>(cfgs[i].checksum),
+                  i + 1 < cfgs.size() ? "," : "");
     json += buf;
   }
   std::snprintf(buf, sizeof(buf),

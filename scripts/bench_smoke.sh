@@ -57,12 +57,12 @@ trap 'rm -f "$OUT" "$OBS_OUT" "$SERVE_OUT" "$PLAN_OUT" "$SWAP_OUT" \
   --json="$OUT" --baseline="$BASELINE" --guard_pct="$GUARD_PCT"
 
 # Observability overhead gate: metrics enabled (tracing off) must stay
-# within OBS_GUARD_PCT (default 2) percent of the metrics-off wall clock on
-# the fig15 workload — the same run that produced bench/BENCH_obs.json.
-# Full-size corpus: with fewer docs each pass is a few ms and host noise
-# swamps the budget. 15 reps (vs the binary's default 9): the score is the
-# minimum over reps, and the extra reps are what keep a busy CI host from
-# tripping the 2% budget on scheduler jitter alone.
+# within OBS_GUARD_PCT (default 2) percent of the metrics-off thread CPU
+# time on the fig15 workload — the same run that produced
+# bench/BENCH_obs.json. Each query runs under every configuration back to
+# back, so a busy host slows them alike. Full-size corpus: with fewer docs
+# a rep is a few ms and timer noise swamps the budget. 15 reps (vs the
+# binary's default 9): the score is the median of the per-rep ratios.
 cmake --build "$BUILD_DIR" -j "$JOBS" --target micro_obs
 "./$BUILD_DIR/bench/micro_obs" \
   --json="$OBS_OUT" --reps="${OBS_REPS:-15}" \
@@ -138,15 +138,15 @@ awk -v r="$RATIO" -v g="$SWAP_GUARD_X" 'BEGIN { exit !(r <= g) }' || {
 # Link-compression gates: the packed link region summed over the
 # fig14/table5 corpora must be at least COMPRESS_SIZE_PCT (default 30)
 # percent smaller than the flat 12-byte-entry layout, and the compressed
-# engine's wall clock (median of per-rep compressed/flat ratio pairs)
-# must stay within COMPRESS_WALL_PCT (default 10) percent of the flat
+# engine's thread CPU time (median of per-rep compressed/flat ratio pairs)
+# must stay within COMPRESS_CPU_PCT (default 10) percent of the flat
 # baseline on the fig15/table7 query mixes. micro_compress enforces both
 # and exits nonzero on violation.
 cmake --build "$BUILD_DIR" -j "$JOBS" --target micro_compress
 "./$BUILD_DIR/bench/micro_compress" \
   --reps=5 \
   --min_size_reduction_pct="${COMPRESS_SIZE_PCT:-30}" \
-  --max_wall_regression_pct="${COMPRESS_WALL_PCT:-10}" \
+  --max_cpu_regression_pct="${COMPRESS_CPU_PCT:-10}" \
   --out="$COMPRESS_OUT"
 
 # Paged-layout density gate: the compressed link region must hold strictly
@@ -182,5 +182,5 @@ done
 echo "bench_smoke.sh: ok (counters within ${GUARD_PCT}% of $BASELINE," \
   "serve schema complete, plan cache gates passed," \
   "swap p99 ${RATIO}x steady / 0 dropped," \
-  "compression size/wall gates passed, paged density gate passed," \
+  "compression size/CPU gates passed, paged density gate passed," \
   "value-index speedup gate passed)"

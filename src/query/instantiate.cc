@@ -22,23 +22,22 @@ void FlattenRec(const PatternNode* n, int32_t parent, FlatPattern* out) {
   for (const auto& c : n->children) FlattenRec(c.get(), me, out);
 }
 
-/// True when `sym` satisfies the node test of `pn` (descendant-axis
-/// filtering; value tests are resolved before this is consulted).
-bool SymMatches(const PatternNode& pn, Sym sym, NameId want_name,
-                ValueId want_value) {
-  switch (pn.test) {
-    case PatternNode::Test::kName:
-      return sym.is_name() && sym.id() == want_name;
-    case PatternNode::Test::kWildcard:
-      return sym.is_name();
-    case PatternNode::Test::kValue:
-      return sym.is_value() && sym.id() == want_value;
-    case PatternNode::Test::kValuePrefix:
-      return false;  // prefix tests are child-axis only
-    case PatternNode::Test::kValueCompare:
-      return false;  // comparisons never reach instantiation
+/// Rejects a descendant-axis node that tests a value: '//' resolves
+/// against element paths only, and the parser never builds such a node.
+Status CheckDescendantTest(const PatternNode& pn) {
+  using Test = PatternNode::Test;
+  if (pn.axis != PatternNode::Axis::kDescendant || pn.test == Test::kName ||
+      pn.test == Test::kWildcard) {
+    return Status::OK();
   }
-  return false;
+  std::string msg = "'//' must be followed by a name or '*', not the ";
+  msg += pn.test == Test::kValue         ? "value"
+         : pn.test == Test::kValuePrefix ? "starts-with()"
+                                         : "comparison";
+  msg += " test '";
+  msg += pn.value;
+  msg += "'";
+  return Status::InvalidArgument(msg);
 }
 
 /// Walks `text`'s character chain below `parent` in the dictionary,
@@ -76,6 +75,9 @@ StatusOr<InstantiateResult> InstantiatePattern(
   FlatPattern flat;
   FlattenRec(pattern.root->children[0].get(), -1, &flat);
   size_t n = flat.nodes.size();
+  for (const PatternNode* pn : flat.nodes) {
+    XSEQ_RETURN_IF_ERROR(CheckDescendantTest(*pn));
+  }
 
   // Resolve the name / value of each pattern node once. Unknown names or
   // values make the whole pattern unsatisfiable. For prefix tests in exact
@@ -239,25 +241,17 @@ StatusOr<InstantiateResult> InstantiatePattern(
       return true;
     }
 
-    // Descendant axis: every strict descendant of parent_path whose last
-    // step satisfies the test. Iterative DFS over the dictionary trie.
-    std::vector<PathId> stack;
-    for (PathId c = dict.FirstChild(parent_path); c != kInvalidPath;
-         c = dict.NextSibling(c)) {
-      stack.push_back(c);
-    }
-    while (!stack.empty()) {
-      PathId p = stack.back();
-      stack.pop_back();
-      for (PathId c = dict.FirstChild(p); c != kInvalidPath;
-           c = dict.NextSibling(c)) {
-        stack.push_back(c);
-      }
-      if (SymMatches(pn, dict.sym(p), want_name[i], want_value[i]) &&
-          viable(p)) {
-        assignment[i] = p;
-        if (!rec(i + 1)) return false;
-      }
+    // Descendant axis (a name or '*', checked above): the element paths
+    // strictly below parent_path that pass the test, in the dictionary's
+    // element order.
+    std::span<const PathId> below =
+        pn.test == PatternNode::Test::kWildcard
+            ? dict.DescendantElements(parent_path)
+            : dict.DescendantsNamed(parent_path, want_name[i]);
+    for (PathId p : below) {
+      if (!viable(p)) continue;
+      assignment[i] = p;
+      if (!rec(i + 1)) return false;
     }
     return true;
   };

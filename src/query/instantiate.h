@@ -53,7 +53,9 @@ struct InstantiateResult {
 
 /// Enumerates the concrete query trees of `pattern` against `dict`.
 /// A pattern naming an unknown element or value yields zero trees (it can
-/// match nothing). Patterns with multiple top-level branches are rejected.
+/// match nothing). Patterns with multiple top-level branches are rejected,
+/// and so is a '//' step that tests a value (InvalidArgument). '//' steps
+/// resolve through PathDict's element order.
 StatusOr<InstantiateResult> InstantiatePattern(
     const QueryPattern& pattern, const PathDict& dict, const NameTable& names,
     const ValueEncoder& values,

@@ -73,6 +73,77 @@ PathId PathDict::Resolve(std::string_view slash_path,
   return cur == kEpsilonPath ? kInvalidPath : cur;
 }
 
+std::unique_ptr<const PathDict::ElementOrder> PathDict::BuildElementOrder()
+    const {
+  const size_t n = entries_.size();
+  // Element-subtree sizes: 1 per element path, summed into its parent.
+  // Parents are interned before their children, so one ascending pass
+  // marks the element tree and one descending pass sums it.
+  std::vector<uint32_t> size(n, 0);
+  size[kEpsilonPath] = 1;
+  for (PathId p = 1; p < n; ++p) {
+    if (entries_[p].sym.is_name() && size[entries_[p].parent] != 0) {
+      size[p] = 1;
+    }
+  }
+  for (PathId p = static_cast<PathId>(n); p-- > 1;) {
+    if (size[p] != 0) size[entries_[p].parent] += size[p];
+  }
+
+  // Pre-order ranks and per-name postings. Child lists run newest (highest
+  // id) first, so pushing them in list order pops the lowest id first.
+  auto order = std::make_unique<ElementOrder>();
+  order->rank.assign(n, ElementOrder::kNoRank);
+  std::vector<PathId> stack = {kEpsilonPath};
+  while (!stack.empty()) {
+    PathId p = stack.back();
+    stack.pop_back();
+    const uint32_t r = static_cast<uint32_t>(order->path.size());
+    order->rank[p] = r;
+    order->path.push_back(p);
+    order->end.push_back(r + size[p]);
+    if (p != kEpsilonPath) {
+      const NameId name = entries_[p].sym.id();
+      if (name >= order->by_name.size()) order->by_name.resize(name + 1);
+      order->by_name[name].push_back(p);
+    }
+    for (PathId c = entries_[p].first_child; c != kInvalidPath;
+         c = entries_[c].next_sibling) {
+      if (size[c] != 0) stack.push_back(c);
+    }
+  }
+  return order;
+}
+
+const PathDict::ElementOrder& PathDict::OrderCache::Get(
+    const PathDict& dict) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (owned_ == nullptr) owned_ = dict.BuildElementOrder();
+  return *owned_;
+}
+
+std::span<const PathId> PathDict::DescendantElements(PathId p) const {
+  const ElementOrder& o = order_.Get(*this);
+  const uint32_t r = o.rank[p];
+  if (r == ElementOrder::kNoRank) return {};
+  return std::span<const PathId>(o.path).subspan(r + 1, o.end[r] - r - 1);
+}
+
+std::span<const PathId> PathDict::DescendantsNamed(PathId p,
+                                                   NameId name) const {
+  const ElementOrder& o = order_.Get(*this);
+  const uint32_t r = o.rank[p];
+  if (r == ElementOrder::kNoRank || name >= o.by_name.size()) return {};
+  const std::vector<PathId>& postings = o.by_name[name];
+  auto rank_below = [&o](PathId q, uint32_t bound) {
+    return o.rank[q] < bound;
+  };
+  auto lo = std::lower_bound(postings.begin(), postings.end(), r + 1,
+                             rank_below);
+  auto hi = std::lower_bound(lo, postings.end(), o.end[r], rank_below);
+  return std::span<const PathId>(lo, hi);
+}
+
 namespace {
 
 void BindRec(const Node* n, PathId parent_path, PathDict* dict,

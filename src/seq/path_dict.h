@@ -5,11 +5,22 @@
 // steps (Syms); every distinct root path observed anywhere in a collection
 // gets a dense PathId. Sequences, the index tree, path links and the schema
 // all speak PathIds, making node encodings O(1) to compare and hash.
+//
+// Descendant steps ('//') are answered from a derived *element order*: a
+// pre-order numbering of the element paths (children in ascending id),
+// the subtree end of each rank, and per-name postings in rank order. The
+// element paths strictly below P are then one rank interval, and those
+// named N are a binary-searched slice of N's postings. The order is built
+// in O(size()) on the first descendant lookup, dropped by Intern(), and
+// never persisted.
 
 #ifndef XSEQ_SRC_SEQ_PATH_DICT_H_
 #define XSEQ_SRC_SEQ_PATH_DICT_H_
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -50,6 +61,7 @@ class PathDict {
                              kInvalidPath, entries_[parent].first_child});
     entries_[parent].first_child = id;
     index_.emplace(key, id);
+    order_.Reset();
     return id;
   }
 
@@ -80,6 +92,18 @@ class PathDict {
   /// Number of interned paths, including ε.
   size_t size() const { return entries_.size(); }
 
+  /// Element paths strictly below `p` whose last step is the name `name`,
+  /// in pre-order with children in ascending id. An element path is one
+  /// whose every step is a name; value paths and `p` itself are never
+  /// returned, and a value path `p` has none. Builds the element order on
+  /// first use; safe to call from several threads at once. The span stays
+  /// valid until the next Intern().
+  std::span<const PathId> DescendantsNamed(PathId p, NameId name) const;
+
+  /// Every element path strictly below `p`, in the same order and with the
+  /// same lifetime as DescendantsNamed.
+  std::span<const PathId> DescendantElements(PathId p) const;
+
   /// Steps of `p` from the root downwards (excluding ε).
   std::vector<Sym> Steps(PathId p) const;
 
@@ -106,12 +130,44 @@ class PathDict {
     PathId next_sibling;
   };
 
+  /// The element order (see the file comment). Ranks count from ε = 0.
+  struct ElementOrder {
+    static constexpr uint32_t kNoRank = 0xFFFFFFFFu;
+    std::vector<uint32_t> rank;  ///< by PathId; kNoRank off the element tree
+    std::vector<uint32_t> end;   ///< by rank: one past its subtree's last rank
+    std::vector<PathId> path;    ///< by rank
+    std::vector<std::vector<PathId>> by_name;  ///< by NameId, in rank order
+  };
+
+  /// Holds the element order once built. Get() builds it under `mu_`, so
+  /// concurrent const readers are safe; Reset() runs only inside Intern(),
+  /// which excludes readers. Copies start empty, keeping PathDict copyable
+  /// and movable.
+  class OrderCache {
+   public:
+    OrderCache() = default;
+    OrderCache(const OrderCache&) {}
+    OrderCache& operator=(const OrderCache&) {
+      Reset();
+      return *this;
+    }
+    const ElementOrder& Get(const PathDict& dict);
+    void Reset() { owned_.reset(); }
+
+   private:
+    std::mutex mu_;
+    std::unique_ptr<const ElementOrder> owned_;  // built under mu_
+  };
+
   static uint64_t Key(PathId parent, Sym sym) {
     return (static_cast<uint64_t>(parent) << 32) | sym.raw();
   }
 
+  std::unique_ptr<const ElementOrder> BuildElementOrder() const;
+
   std::vector<Entry> entries_;
   std::unordered_map<uint64_t, PathId> index_;
+  mutable OrderCache order_;
 };
 
 /// Computes the PathId of every node of `doc`, indexed by node->index,

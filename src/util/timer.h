@@ -1,7 +1,10 @@
-// Lightweight wall-clock timing for benchmarks and query statistics.
+// Lightweight wall-clock and thread-CPU timing for benchmarks and query
+// statistics.
 
 #ifndef XSEQ_SRC_UTIL_TIMER_H_
 #define XSEQ_SRC_UTIL_TIMER_H_
+
+#include <time.h>
 
 #include <chrono>
 #include <cstdint>
@@ -36,6 +39,28 @@ class Timer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
+};
+
+/// CPU time consumed by the calling thread (CLOCK_THREAD_CPUTIME_ID).
+/// Unlike Timer it does not advance while the thread is descheduled.
+/// Started at construction; read it on the thread that started it.
+class ThreadCpuTimer {
+ public:
+  ThreadCpuTimer() : start_(Now()) {}
+
+  /// Thread CPU time since construction, in milliseconds (fractional).
+  double ElapsedMillis() const {
+    return static_cast<double>(Now() - start_) / 1e6;
+  }
+
+ private:
+  static int64_t Now() {
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
+  }
+
+  const int64_t start_;  // nanoseconds
 };
 
 }  // namespace xseq

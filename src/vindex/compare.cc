@@ -73,28 +73,37 @@ std::unique_ptr<PatternNode> CloneRec(
   return copy;
 }
 
-/// Dictionary-trie walk collecting every path whose element chain matches
-/// the resolved steps.
-void EnumerateHosts(const PathDict& dict,
-                    const std::vector<ResolvedStep>& steps, size_t i,
-                    PathId p, std::vector<PathId>* hosts) {
-  if (i == steps.size()) {
-    hosts->push_back(p);
-    return;
-  }
-  const ResolvedStep& st = steps[i];
-  for (PathId c = dict.FirstChild(p); c != kInvalidPath;
-       c = dict.NextSibling(c)) {
-    // Chains are element chains: value steps neither match nor carry
-    // elements below them worth descending into.
-    if (!dict.sym(c).is_name()) continue;
-    if (st.wildcard || dict.sym(c).id() == st.name) {
-      EnumerateHosts(dict, steps, i + 1, c, hosts);
+/// Every element path whose root chain matches the resolved steps,
+/// ascending and distinct: one frontier per step, a '//' step answered by
+/// the dictionary's element order.
+std::vector<PathId> EnumerateHosts(const PathDict& dict,
+                                   const std::vector<ResolvedStep>& steps) {
+  std::vector<PathId> frontier = {kEpsilonPath};
+  std::vector<PathId> next;
+  for (const ResolvedStep& st : steps) {
+    next.clear();
+    for (PathId p : frontier) {
+      if (st.descendant) {
+        std::span<const PathId> below =
+            st.wildcard ? dict.DescendantElements(p)
+                        : dict.DescendantsNamed(p, st.name);
+        next.insert(next.end(), below.begin(), below.end());
+      } else if (st.wildcard) {
+        for (PathId c = dict.FirstChild(p); c != kInvalidPath;
+             c = dict.NextSibling(c)) {
+          if (dict.sym(c).is_name()) next.push_back(c);
+        }
+      } else {
+        PathId c = dict.Find(p, Sym::ForName(st.name));
+        if (c != kInvalidPath) next.push_back(c);
+      }
     }
-    if (st.descendant) {
-      EnumerateHosts(dict, steps, i, c, hosts);
-    }
+    // Nested frontier paths reach the same paths through a '//' step.
+    std::sort(next.begin(), next.end());
+    next.erase(std::unique(next.begin(), next.end()), next.end());
+    frontier.swap(next);
   }
+  return frontier;
 }
 
 /// Document-tree twin of EnumerateHosts + Collect.
@@ -181,20 +190,21 @@ bool ComparisonImpliesSkeleton(const QueryPattern& skeleton,
   return false;
 }
 
+std::vector<PathId> ComparisonHosts(const PathDict& dict,
+                                    const NameTable& names,
+                                    const ValueComparison& cmp) {
+  std::vector<ResolvedStep> steps;
+  if (!ResolveSteps(cmp.steps, names, &steps)) return {};
+  return EnumerateHosts(dict, steps);
+}
+
 std::vector<DocId> CandidateDocs(const ValueIndex& vindex,
                                  const PathDict& dict,
                                  const NameTable& names,
                                  const ValueComparison& cmp,
                                  uint64_t* probes, uint64_t* candidates) {
   std::vector<DocId> docs;
-  std::vector<ResolvedStep> steps;
-  if (!ResolveSteps(cmp.steps, names, &steps)) return docs;
-  std::vector<PathId> hosts;
-  EnumerateHosts(dict, steps, 0, kEpsilonPath, &hosts);
-  // Descendant/wildcard combinations can reach the same host path through
-  // different intermediate assignments; probe each path once.
-  std::sort(hosts.begin(), hosts.end());
-  hosts.erase(std::unique(hosts.begin(), hosts.end()), hosts.end());
+  std::vector<PathId> hosts = ComparisonHosts(dict, names, cmp);
   for (PathId h : hosts) {
     vindex.Collect(h, cmp.op, cmp.literal, &docs);
   }

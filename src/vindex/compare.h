@@ -63,10 +63,16 @@ QueryPattern StripComparisons(const QueryPattern& pattern,
 bool ComparisonImpliesSkeleton(const QueryPattern& skeleton,
                                const std::vector<ValueComparison>& cmps);
 
+/// The host paths of `cmp` in `dict`: every element path whose root chain
+/// matches cmp.steps, ascending and distinct. Empty when a named step is
+/// unknown to `names`.
+std::vector<PathId> ComparisonHosts(const PathDict& dict,
+                                    const NameTable& names,
+                                    const ValueComparison& cmp);
+
 /// Sorted, de-duplicated ids of every doc with a value satisfying `cmp`:
-/// the union of ValueIndex::Collect over every dictionary path whose
-/// element chain matches cmp.steps. `probes` counts paths probed,
-/// `candidates` the postings touched (both may be null).
+/// the union of ValueIndex::Collect over ComparisonHosts(). `probes` counts
+/// paths probed, `candidates` the postings touched (both may be null).
 std::vector<DocId> CandidateDocs(const ValueIndex& vindex,
                                  const PathDict& dict,
                                  const NameTable& names,

@@ -167,6 +167,32 @@ TEST(ParallelQuery, MatchAndBatchResultsEqualSerial) {
   }
 }
 
+TEST(ParallelQuery, FreshImageBuildsElementOrderUnderConcurrentFirstUse) {
+  // A decoded image has not built its dictionary's element order yet: the
+  // first '//' lookups of eight workers race to build it.
+  CollectionIndex built = BuildSynthetic(1, 300);
+  auto fresh = DecodeCollectionIndex(EncodeCollectionIndex(built));
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  const std::vector<std::string> shapes = {
+      "//e2", "/e0//e3", "//*", "//e1/*", "//e4//e5", "/e0//*", "//e6",
+      "/e0/e1"};
+  std::vector<std::string> xpaths;
+  for (int round = 0; round < 4; ++round) {
+    xpaths.insert(xpaths.end(), shapes.begin(), shapes.end());
+  }
+  auto batch = fresh->QueryBatch(xpaths, ExecOptions(), /*threads=*/8);
+  ASSERT_EQ(batch.size(), xpaths.size());
+  size_t nonempty = 0;
+  for (size_t i = 0; i < xpaths.size(); ++i) {
+    auto expected = built.Query(xpaths[i]);
+    ASSERT_TRUE(expected.ok()) << xpaths[i];
+    ASSERT_TRUE(batch[i].ok()) << xpaths[i];
+    EXPECT_EQ(batch[i]->docs, expected->docs) << xpaths[i];
+    if (!expected->docs.empty()) ++nonempty;
+  }
+  EXPECT_GT(nonempty, xpaths.size() / 2);
+}
+
 TEST(DynamicConcurrency, ParallelSealsMatchSerialAnswers) {
   SyntheticParams params;
   params.seed = 41;

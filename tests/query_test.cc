@@ -191,6 +191,17 @@ TEST_F(InstantiateTest, DescendantFindsAllDepths) {
   EXPECT_EQ(CountInstantiations("/P/R//L"), 2u);
 }
 
+TEST_F(InstantiateTest, DescendantSeesPathsInternedAfterALookup) {
+  Build({"P(L)"});
+  EXPECT_EQ(CountInstantiations("//L"), 1u);
+  EXPECT_EQ(CountInstantiations("//*"), 2u);
+  // The dictionary grows after the element order was built for `//`.
+  Build({"P(R(L(L)))"});
+  EXPECT_EQ(CountInstantiations("//L"), 3u);
+  EXPECT_EQ(CountInstantiations("//*"), 5u);
+  EXPECT_EQ(CountInstantiations("/P/R//L"), 2u);
+}
+
 TEST_F(InstantiateTest, ValuePredicateResolvesAgainstEncoder) {
   Build({"P(L('boston'))", "P(L('newyork'))"});
   EXPECT_EQ(CountInstantiations("/P/L[.='boston']"), 1u);

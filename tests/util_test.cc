@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/util/arena.h"
@@ -10,6 +12,7 @@
 #include "src/util/interner.h"
 #include "src/util/rng.h"
 #include "src/util/status.h"
+#include "src/util/timer.h"
 
 namespace xseq {
 namespace {
@@ -276,6 +279,20 @@ TEST(Flags, DefaultsWhenAbsentOrMalformed) {
   FlagSet flags(2, const_cast<char**>(argv));
   EXPECT_EQ(flags.GetInt("n", 7), 7);
   EXPECT_EQ(flags.GetInt("m", 9), 9);
+}
+
+TEST(ThreadCpuTimer, CountsWorkNotSleep) {
+  ThreadCpuTimer sleeping;
+  Timer wall;
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_GE(wall.ElapsedMillis(), 30.0);
+  EXPECT_LT(sleeping.ElapsedMillis(), 15.0);  // sleep burns no thread CPU
+
+  ThreadCpuTimer working;
+  volatile uint64_t sink = 0;
+  while (working.ElapsedMillis() < 2.0) sink = sink + 1;
+  EXPECT_GE(working.ElapsedMillis(), 2.0);
+  EXPECT_GT(sink, 0u);
 }
 
 }  // namespace
