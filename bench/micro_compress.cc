@@ -125,10 +125,10 @@ struct Corpus {
   std::unique_ptr<CollectionIndex> idx;
   /// Query mix; empty for size-only corpora (no CPU measurement).
   std::vector<std::vector<QuerySeq>> compiled;
-  /// Passes over the mix per rep: small mixes (table7's three XPaths run
-  /// in ~40us) are looped until a rep is tens of milliseconds of work,
-  /// else the CPU gate flaps on timer granularity.
-  int cpu_iters = 1;
+  /// Rounds of timed blocks per rep. Small mixes (table7's two queries run
+  /// in a few microseconds) take several rounds so a rep is tens of
+  /// milliseconds of work, else the CPU gate flaps on timer granularity.
+  int cpu_rounds = 1;
 };
 
 /// Size-only corpus: one of the two fig14 synthetic configurations.
@@ -198,7 +198,7 @@ Corpus MakeTable7Corpus(DocId docs) {
       c.compiled.push_back(std::move(*compiled));
     }
   }
-  c.cpu_iters = 512;
+  c.cpu_rounds = 16;
   return c;
 }
 
@@ -325,31 +325,42 @@ CorpusResult Measure(const Corpus& c, const FlatLinks& flat, int reps) {
     return docs;
   };
   // One untimed pass per engine warms the block cache, the page cache and
-  // the CPU governor. A rep then runs the mix in blocks of one query and
-  // at most 32 iterations (about a millisecond), the two engines back to
-  // back per block with the first one alternating, and keeps the ratio of
-  // their summed thread CPU times. A slowdown of the host lasts longer
+  // the CPU governor. Each query then gets its block size: the iterations
+  // the flat engine needs for about a millisecond of thread CPU, doubled
+  // from one until a block lasts that long — a fixed count would shrink
+  // the blocks to timer noise whenever the engine gets faster. A rep runs
+  // the mix in blocks of one query, the two engines back to back per block
+  // with the first one alternating, and keeps the ratio of their summed
+  // per-iteration thread CPU times. A slowdown of the host lasts longer
   // than one block pair, so it hits both engines alike; the median over
   // reps shrugs off the odd disturbed rep that would flap a min-based gate.
+  constexpr double kBlockMs = 1.0;
+  std::vector<int> block_iters;
   for (const auto& seqs : c.compiled) {
     r.result_docs_compressed += run(true, seqs, 1);
     r.result_docs_flat += run(false, seqs, 1);
+    int n = 1;
+    for (;;) {
+      ThreadCpuTimer timer;
+      run(false, seqs, n);
+      if (timer.ElapsedMillis() >= kBlockMs || n >= (1 << 20)) break;
+      n *= 2;
+    }
+    block_iters.push_back(n);
   }
-  const int block_iters = std::min(c.cpu_iters, 32);
-  const double iters = static_cast<double>(c.cpu_iters);
   double best_compressed = 1e300, best_flat = 1e300;
   std::vector<double> ratios;
   ratios.reserve(static_cast<size_t>(reps));
   for (int rep = 0; rep < reps; ++rep) {
-    double tc = 0.0, tf = 0.0;
+    double tc = 0.0, tf = 0.0;  // per-iteration CPU ms, summed
     size_t turn = static_cast<size_t>(rep);
-    for (int done = 0; done < c.cpu_iters; done += block_iters) {
-      for (const auto& seqs : c.compiled) {
+    for (int round = 0; round < c.cpu_rounds; ++round) {
+      for (size_t q = 0; q < c.compiled.size(); ++q) {
         const bool compressed_first = turn++ % 2 == 0;
         for (bool compressed : {compressed_first, !compressed_first}) {
           ThreadCpuTimer timer;
-          run(compressed, seqs, block_iters);
-          (compressed ? tc : tf) += timer.ElapsedMillis();
+          run(compressed, c.compiled[q], block_iters[q]);
+          (compressed ? tc : tf) += timer.ElapsedMillis() / block_iters[q];
         }
       }
     }
@@ -357,8 +368,8 @@ CorpusResult Measure(const Corpus& c, const FlatLinks& flat, int reps) {
     best_flat = std::min(best_flat, tf);
     if (tf > 0) ratios.push_back(tc / tf);
   }
-  r.cpu_compressed_ms = best_compressed / iters;
-  r.cpu_flat_ms = best_flat / iters;
+  r.cpu_compressed_ms = best_compressed / c.cpu_rounds;
+  r.cpu_flat_ms = best_flat / c.cpu_rounds;
   if (!ratios.empty()) {
     std::nth_element(ratios.begin(), ratios.begin() + ratios.size() / 2,
                      ratios.end());
@@ -404,7 +415,7 @@ int Run(const FlagSet& flags) {
         "%-26s pack %7.1f Me/s   unpack %7.1f Me/s\n", "",
         r.pack_mentries_s, r.unpack_mentries_s);
     std::printf(
-        "%-26s cpu %7.3f ms compressed vs %7.3f ms flat "
+        "%-26s cpu %8.4f ms compressed vs %8.4f ms flat "
         "(median pair delta %+.1f%%)\n",
         "", r.cpu_compressed_ms, r.cpu_flat_ms, r.cpu_delta_pct);
   }
@@ -442,7 +453,7 @@ int Run(const FlagSet& flags) {
       std::fprintf(
           out,
           ",\"pack_mentries_s\":%.1f,\"unpack_mentries_s\":%.1f,"
-          "\"cpu_compressed_ms\":%.3f,\"cpu_flat_ms\":%.3f,"
+          "\"cpu_compressed_ms\":%.4f,\"cpu_flat_ms\":%.4f,"
           "\"cpu_delta_pct\":%.1f,\"result_docs\":%llu",
           r.pack_mentries_s, r.unpack_mentries_s, r.cpu_compressed_ms,
           r.cpu_flat_ms, r.cpu_delta_pct,

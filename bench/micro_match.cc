@@ -4,8 +4,9 @@
 // Two modes:
 //   * default           — google-benchmark microbenchmarks.
 //   * --json=<path>     — deterministic counter workloads (the fig15
-//     identical-siblings mix, a fig16-style length sweep, and the table7
-//     XMark queries) run against both the in-memory and the paged accessor;
+//     identical-siblings mix, a fig16-style length sweep, the table7 XMark
+//     queries, and Q1 texts narrowed by literals read off records) run
+//     against both the in-memory and the paged accessor;
 //     wall clock + MatchStats totals are written as one JSON object per
 //     line so shell tooling can grep instead of parsing. With
 //     --baseline=<path> the run additionally compares itself against a
@@ -183,6 +184,32 @@ Workload MakeXMarkWorkload(DocId docs) {
       "/date[text='12/15/1999']",
   };
   for (const char* q : queries) {
+    auto pattern = ParseXPath(q);
+    if (!pattern.ok()) continue;
+    auto compiled = w.idx->executor().Compile(*pattern);
+    if (compiled.ok() && !compiled->empty()) {
+      w.compiled.push_back(std::move(*compiled));
+    }
+  }
+  return w;
+}
+
+/// Table-7 Q1 texts narrowed to one mail, literals read off records — the
+/// shape the serving benchmark's cold parameterized workload sends. The
+/// sender's value path occurs about once, so the anchor sits late in each
+/// sequence and steering skips the nested item/mail occurrences.
+Workload MakeXMarkQ1Workload(DocId docs) {
+  Workload w;
+  w.name = "table7_q1_params";
+  XMarkParams params;
+  IndexOptions opts;
+  CollectionBuilder builder(opts);
+  XMarkGenerator gen(params, builder.names(), builder.values());
+  w.idx = std::make_unique<CollectionIndex>(bench::BuildStreaming(
+      &builder, [&gen](DocId d) { return gen.Generate(d); }, docs));
+  Rng rng(params.seed, 41);
+  for (const std::string& q :
+       XMarkQ1Texts(gen, w.idx->names(), docs, /*count=*/64, &rng)) {
     auto pattern = ParseXPath(q);
     if (!pattern.ok()) continue;
     auto compiled = w.idx->executor().Compile(*pattern);
@@ -374,6 +401,7 @@ int RunJsonMode(const FlagSet& flags) {
                                               8, /*rng_stream=*/11));
   }
   workloads.push_back(MakeXMarkWorkload(docs));
+  workloads.push_back(MakeXMarkQ1Workload(docs));
 
   std::vector<CellResult> cells;
   for (const Workload& w : workloads) {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Benchmark smoke gate: runs the micro_match counter workloads (fig15
-# identical-siblings, fig16 query lengths, table7 XMark) and fails if the
-# query engine regressed against the checked-in baseline —
+# identical-siblings, fig16 query lengths, table7 XMark, Q1 texts narrowed
+# by record literals) and fails if the query engine regressed against the
+# checked-in baseline —
 # `link_entries_read` more than --guard (default 10) percent above
 # bench/BENCH_match.baseline.json, or any drift at all in
 # `result_docs`/`terminals` (those must stay bit-identical).

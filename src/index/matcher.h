@@ -48,6 +48,26 @@ StatusOr<QuerySeq> BuildQuerySeq(const Document& doc,
                                  const std::vector<PathId>& paths,
                                  const Sequencer& sequencer);
 
+/// The position Algorithm 1 steers by: the last position whose path link is
+/// shortest — the deepest of the rarest paths. A match is one root-to-leaf
+/// trie path, so the anchor's node lies inside every node matched before
+/// it; the matcher skips earlier candidates whose range holds no anchor
+/// occurrence, and explain reports this position. `link_size(PathId)`
+/// returns a path's occurrence count. An empty sequence anchors at 0.
+template <typename LinkSizeFn>
+size_t AnchorPosition(const QuerySeq& q, const LinkSizeFn& link_size) {
+  size_t anchor = 0;
+  uint64_t best = UINT64_MAX;
+  for (size_t i = 0; i < q.size(); ++i) {
+    const uint64_t c = link_size(q.paths[i]);
+    if (c <= best) {
+      best = c;
+      anchor = i;
+    }
+  }
+  return anchor;
+}
+
 /// Matching mode (see file comment).
 enum class MatchMode { kNaive, kConstraint };
 
@@ -224,6 +244,10 @@ struct MatchContext {
   /// is walking (sib_view). See LinkBlockView.
   std::vector<LinkBlockView> scan_view;
   std::vector<LinkBlockView> sib_view;
+  /// Anchor-link cursor of the last anchor search (its gallop seed) and a
+  /// view of the block that search read. See AnchorPosition.
+  uint32_t anchor_hint = 0;
+  LinkBlockView anchor_view;
   /// Decoded link blocks, keyed (path, block); see LinkBlockCache.
   LinkBlockCache block_cache;
 };

@@ -85,6 +85,12 @@
 //    cursor walk reads a borrowed view of the parent block's columns; only
 //    cover-chain hops that leave that block fall back to per-entry
 //    accessor reads.
+//  * Anchor steering (positions before the sequence's AnchorPosition)
+//    counts only entries whose range holds an anchor occurrence as
+//    candidates. Anchor searches and the scan's jumps are hinted upper-bound
+//    searches (link_gallop_probes); a jump's cover-chain hops count as
+//    link_entries_read, and the first anchor occurrence costs one header
+//    read.
 
 #ifndef XSEQ_SRC_INDEX_MATCHER_IMPL_H_
 #define XSEQ_SRC_INDEX_MATCHER_IMPL_H_
@@ -224,20 +230,62 @@ BlockBound LinkBlockUpperBound(const Accessor& acc, PathId path,
   return {ub, probes};
 }
 
+/// "No anchor occurrence left": sorts after every serial.
+inline constexpr int64_t kNoAnchor = INT64_MAX;
+
+/// First serial > `after` in the anchor link `path`, found by the hinted
+/// two-tier search seeded with ctx->anchor_hint; `after` is at or past the
+/// link's first serial, so the search lands in some block. The serial
+/// comes from that block's decoded column or, when every entry there is
+/// <= after, from the next block's header; the block is read through
+/// ctx->anchor_view, so successive searches in one block decode nothing.
+/// kNoAnchor when the link holds no later occurrence.
+template <typename Accessor>
+int64_t AnchorAfter(const Accessor& acc, PathId path, int64_t after,
+                    MatchContext* ctx, MatchStats* stats) {
+  const uint32_t n = acc.LinkSize(path);
+  BlockBound t1 =
+      LinkBlockUpperBound(acc, path, after, n, ctx->anchor_hint, stats);
+  const uint32_t fb = t1.ub - 1;
+  const uint32_t base = fb * kLinkBlockSize;
+  LinkBlockView& v = ctx->anchor_view;
+  if (v.blk != fb || v.stamp != acc.DecodeStamp()) {
+    v.cols = acc.LinkBlockColumns(path, fb, kStreamSerials);
+    v.blk = fb;
+    v.streams = kStreamSerials;
+    v.stamp = acc.DecodeStamp();
+  }
+  const uint32_t cnt = std::min(n - base, kLinkBlockSize);
+  const uint32_t off = WindowSearch(v.cols.serials, after, cnt, t1.probes);
+  ctx->anchor_hint = base + off;
+  if (off < cnt) return v.cols.serials[off];
+  if (base + cnt < n) return acc.LinkBlockBaseSerial(path, t1.ub);
+  return kNoAnchor;
+}
+
 /// Recursive chain search. Scratch lives in `ctx`; `ctx->ranges` collects
-/// doc-offset intervals of terminal subtrees.
+/// doc-offset intervals of terminal subtrees. `anchor` is the sequence's
+/// AnchorPosition; frames before it get `anchor_after`, the first anchor
+/// serial > v_serial, which lies within v_end.
 template <typename Accessor>
 void SearchRec(const Accessor& acc, const QuerySeq& q, MatchMode mode,
-               size_t i, int64_t v_serial, int64_t v_end, MatchContext* ctx,
-               MatchStats* stats) {
+               size_t anchor, size_t i, int64_t v_serial, int64_t v_end,
+               int64_t anchor_after, MatchContext* ctx, MatchStats* stats) {
   if (i == q.size()) {
     ++stats->terminals;
     ctx->ranges.push_back(acc.DocOffsets(static_cast<uint32_t>(v_serial),
                                          static_cast<uint32_t>(v_end)));
     return;
   }
+  // Anchor steering. A match is one root-to-leaf trie path, so before the
+  // anchor a candidate leads somewhere only if its range holds an anchor
+  // occurrence.
+  const bool steer = i < anchor;
   PathId p = q.paths[i];
   uint32_t link_size = acc.LinkSize(p);
+  // A steered scan reads every entry's end, not only the candidates'.
+  const uint32_t scan_streams =
+      steer ? kStreamSerials | kStreamEnds : kStreamSerials;
 
   // Borrowed views of the decoded columns the frame is reading — per
   // query position, persisted in the context across the many frames a
@@ -290,7 +338,7 @@ void SearchRec(const Accessor& acc, const QuerySeq& q, MatchMode mode,
       const uint32_t fb = t1.ub - 1;
       const uint32_t base = fb * kLinkBlockSize;
       const uint32_t cnt = std::min(link_size - base, kLinkBlockSize);
-      own_ensure(fb, kStreamSerials);
+      own_ensure(fb, scan_streams);
       idx = base + WindowSearch(own.cols.serials, v_serial, cnt, t1.probes);
     }
   }
@@ -335,6 +383,9 @@ void SearchRec(const Accessor& acc, const QuerySeq& q, MatchMode mode,
     own.blk = kNoBlock;
   }
 
+  // First anchor serial > the current entry's serial.
+  int64_t next_anchor = anchor_after;
+  const PathId anchor_path = q.paths[anchor];
   for (; idx < link_size; ++idx) {
     ++stats->link_entries_read;
     const uint32_t blk = idx / kLinkBlockSize;
@@ -347,9 +398,60 @@ void SearchRec(const Accessor& acc, const QuerySeq& q, MatchMode mode,
       r = acc.LinkBlockBaseSerial(p, blk);
       if (static_cast<int64_t>(r) > v_end) break;
     }
-    if (blk != own.blk) own_fetch(blk, kStreamSerials);
+    if (blk != own.blk) own_fetch(blk, scan_streams);
     r = own.cols.serials[off];
     if (static_cast<int64_t>(r) > v_end) break;
+    if (steer) {
+      if (static_cast<int64_t>(r) >= next_anchor) {
+        next_anchor = AnchorAfter(acc, anchor_path, r, ctx, stats);
+        if (next_anchor > v_end) break;  // no later entry can hold one
+        stamp = acc.DecodeStamp();  // the search may have decoded
+        if (stamp != own.stamp) own_fetch(blk, own.streams);
+      }
+      if (static_cast<int64_t>(own.cols.ends[off]) < next_anchor) {
+        // No match runs through this entry. An entry before next_anchor
+        // leads somewhere only if it covers next_anchor, and all that do
+        // lie on the nesting-forest chain of the last entry before it
+        // (laminarity). So land on the outermost chain entry past the
+        // cursor if it covers next_anchor, else on the first entry at or
+        // past next_anchor. One hinted search finds the last entry and
+        // fetches its block with every column the chain walk reads.
+        const int64_t before = next_anchor - 1;
+        BlockBound jb =
+            LinkBlockUpperBound(acc, p, before, link_size, idx, stats);
+        const uint32_t jbase = (jb.ub - 1) * kLinkBlockSize;
+        own_ensure(jb.ub - 1, kStreamAll);
+        const uint32_t last =
+            jbase - 1 +
+            WindowSearch(own.cols.serials, before,
+                         std::min(link_size - jbase, kLinkBlockSize),
+                         jb.probes);
+        uint32_t land = last + 1;
+        if (last > idx) {
+          uint32_t t = last;
+          uint32_t t_end = own.cols.ends[t & (kLinkBlockSize - 1)];
+          uint32_t t_cover = own.cols.covers[t & (kLinkBlockSize - 1)];
+          ++stats->link_entries_read;
+          while (t_cover != kNoLinkCover && t_cover > idx) {
+            t = t_cover;
+            ++stats->link_entries_read;
+            if (t / kLinkBlockSize == own.blk && stamp == own.stamp) {
+              t_end = own.cols.ends[t & (kLinkBlockSize - 1)];
+              t_cover = own.cols.covers[t & (kLinkBlockSize - 1)];
+            } else {
+              t_end = acc.LinkEnd(p, t);
+              t_cover = acc.LinkCover(p, t);
+              stamp = acc.DecodeStamp();  // the fallback reads may decode
+            }
+          }
+          if (static_cast<int64_t>(t_end) >= next_anchor) land = t;
+        }
+        // Let the scan re-fetch if the walk's fallback reads decoded.
+        if (stamp != own.stamp) own.blk = kNoBlock;
+        idx = land - 1;  // the loop increment lands on `land`
+        continue;
+      }
+    }
     ++stats->candidates;
     if (need_cover) {
       ++stats->sibling_checks;
@@ -420,7 +522,8 @@ void SearchRec(const Accessor& acc, const QuerySeq& q, MatchMode mode,
       own_fetch(blk, own.streams | kStreamEnds);
     }
     const uint32_t child_end = own.cols.ends[off];
-    SearchRec(acc, q, mode, i + 1, r, child_end, ctx, stats);
+    SearchRec(acc, q, mode, anchor, i + 1, r, child_end, next_anchor, ctx,
+              stats);
     // The recursion's decodes may have recycled the scan view's slot.
     stamp = acc.DecodeStamp();
     if (stamp != own.stamp) own_fetch(blk, own.streams);
@@ -466,14 +569,25 @@ Status MatchCore(Accessor acc, const QuerySeq& q, MatchMode mode,
   // outlive the call.
   ctx->scan_view.assign(q.size(), LinkBlockView{});
   ctx->sib_view.assign(q.size(), LinkBlockView{});
+  ctx->anchor_view = LinkBlockView{};
   // Rebind, don't reset: a context matching repeatedly against one index
   // keeps its decoded blocks (see LinkBlockCache::BindIndex).
   ctx->block_cache.BindIndex(acc.CacheIdentity());
   acc.BindCache(&ctx->block_cache);
-  if (acc.node_count() > 0) {
-    SearchRec(acc, q, mode, 0, /*v_serial=*/-1,
-              /*v_end=*/static_cast<int64_t>(acc.node_count()) - 1, ctx,
-              st);
+  const size_t anchor =
+      AnchorPosition(q, [&acc](PathId p) { return acc.LinkSize(p); });
+  // An empty anchor link matches nothing, so nothing is scanned.
+  if (acc.node_count() > 0 && acc.LinkSize(q.paths[anchor]) > 0) {
+    // The first anchor occurrence is block 0's base serial: a header read.
+    int64_t first_anchor = kNoAnchor;
+    if (anchor > 0) {
+      ++st->link_entries_read;
+      first_anchor = acc.LinkBlockBaseSerial(q.paths[anchor], 0);
+      ctx->anchor_hint = 0;
+    }
+    SearchRec(acc, q, mode, anchor, 0, /*v_serial=*/-1,
+              /*v_end=*/static_cast<int64_t>(acc.node_count()) - 1,
+              first_anchor, ctx, st);
   }
 
   // Doc lists are disjoint per offset, so merging intervals deduplicates.

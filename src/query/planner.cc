@@ -182,15 +182,9 @@ uint64_t QueryPlanner::EstimatedMatchCost(const ConcreteQuery& query) const {
 QueryPlanner::SeqSelectivity QueryPlanner::Selectivity(
     const QuerySeq& seq) const {
   SeqSelectivity out;
-  out.min_cardinality = UINT64_MAX;
-  for (size_t i = 0; i < seq.paths.size(); ++i) {
-    uint64_t c = Cardinality(seq.paths[i]);
-    if (c < out.min_cardinality) {
-      out.min_cardinality = c;
-      out.anchor = i;
-    }
-  }
-  if (out.min_cardinality == UINT64_MAX) out.min_cardinality = 0;  // empty seq
+  if (seq.paths.empty()) return out;
+  out.anchor = AnchorPosition(seq, [this](PathId p) { return Cardinality(p); });
+  out.min_cardinality = Cardinality(seq.paths[out.anchor]);
   return out;
 }
 

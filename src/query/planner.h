@@ -20,12 +20,13 @@
 //     expansion anyway (exact_fallback, the default) or get their ordering
 //     cap clamped (approximate: sets `truncated`).
 //   * selectivity ordering: each compiled sequence's most selective
-//     position (minimum link cardinality — the anchor Algorithm 1 must
-//     satisfy no matter where it starts) is computed; sequences whose
-//     anchor has zero occurrences are skipped outright, the rest are
-//     matched most-selective-first so short-circuiting work (deadlines,
-//     shared match contexts) sees cheap sequences early. The result union
-//     is sorted and deduplicated, so ordering is unobservable in output.
+//     position (minimum link cardinality, the last such position — the
+//     anchor Algorithm 1 steers by, see AnchorPosition) is computed;
+//     sequences whose anchor has zero occurrences are skipped outright,
+//     the rest are matched most-selective-first so short-circuiting work
+//     (deadlines, shared match contexts) sees cheap sequences early. The
+//     result union is sorted and deduplicated, so ordering is unobservable
+//     in output.
 //
 // CompiledQuery is the unit the plan cache (src/query/plan_cache.h) stores.
 
@@ -115,7 +116,7 @@ struct QueryExplain {
   struct SeqEntry {
     uint32_t positions = 0;           ///< sequence length
     uint64_t anchor_cardinality = 0;  ///< min link cardinality
-    uint32_t anchor = 0;              ///< position attaining the minimum
+    uint32_t anchor = 0;              ///< position the matcher steers by
     int32_t shard = -1;               ///< owning shard, -1 = unsharded
   };
   std::vector<SeqEntry> seq;
@@ -167,7 +168,8 @@ class QueryPlanner {
   uint64_t EstimatedMatchCost(const ConcreteQuery& query) const;
 
   /// Per-sequence selectivity: the minimum link cardinality over its
-  /// positions and the position attaining it (the anchor).
+  /// positions and the last position attaining it — the anchor the matcher
+  /// steers by (AnchorPosition).
   struct SeqSelectivity {
     uint64_t min_cardinality = 0;
     size_t anchor = 0;

@@ -1,11 +1,12 @@
 // Randomized differential suite for the query hot-path engine.
 //
 // The optimized matcher (fused link entries, galloping cursor search,
-// cover-forest sibling test, reusable contexts) must be *bit-identical* to
-// the straightforward reference implementation of Algorithm 1 — a fresh
-// binary search per probe and a binary-search-plus-backward-scan
-// TightestContaining, exactly the shape the engine shipped with — and, in
-// constraint mode, to the brute-force oracle. Runs on synthetic corpora
+// cover-forest sibling test, anchor steering, reusable contexts) must
+// answer *bit-identically* to the straightforward reference implementation
+// of Algorithm 1 — a fresh binary search per probe, a
+// binary-search-plus-backward-scan TightestContaining and no steering,
+// exactly the shape the engine shipped with — and, in constraint mode, to
+// the brute-force oracle. Runs on synthetic corpora
 // with heavy identical-sibling nesting and on XMark records, in both
 // kNaive and kConstraint modes, through both the in-memory and the paged
 // accessor, with one shared MatchContext reused across every call.
@@ -74,7 +75,8 @@ class RefLinks {
 
 void RefSearch(const FrozenIndex& fi, RefLinks* links, const QuerySeq& q,
                MatchMode mode, size_t i, int64_t v_serial, int64_t v_end,
-               std::vector<uint32_t>* matched, std::vector<DocId>* out) {
+               std::vector<uint32_t>* matched, std::vector<DocId>* out,
+               uint64_t* candidates) {
   if (i == q.size()) {
     auto [lo, hi] =
         fi.DocOffsetsInSubtree(static_cast<uint32_t>(v_serial));
@@ -88,6 +90,7 @@ void RefSearch(const FrozenIndex& fi, RefLinks* links, const QuerySeq& q,
        ++idx) {
     uint32_t r = link[idx].serial;
     if (static_cast<int64_t>(r) > v_end) break;
+    ++*candidates;
     if (mode == MatchMode::kConstraint && q.parent[i] >= 0) {
       PathId parent_path = q.paths[static_cast<size_t>(q.parent[i])];
       if (fi.HasNested(parent_path)) {
@@ -97,22 +100,29 @@ void RefSearch(const FrozenIndex& fi, RefLinks* links, const QuerySeq& q,
       }
     }
     (*matched)[i] = r;
-    RefSearch(fi, links, q, mode, i + 1, r, link[idx].end, matched, out);
+    RefSearch(fi, links, q, mode, i + 1, r, link[idx].end, matched, out,
+              candidates);
   }
 }
 
+/// Unsteered Algorithm 1 over `seqs`. `candidates`, when given, is
+/// increased by the in-range entries it expanded — what the engine would
+/// count without anchor steering.
 std::vector<DocId> RefMatch(const FrozenIndex& fi,
                             const std::vector<QuerySeq>& seqs,
-                            MatchMode mode) {
+                            MatchMode mode, uint64_t* candidates = nullptr) {
   std::vector<DocId> out;
   RefLinks links(fi);
+  uint64_t expanded = 0;
   for (const QuerySeq& q : seqs) {
     std::vector<uint32_t> matched(q.size());
     if (fi.node_count() > 0) {
       RefSearch(fi, &links, q, mode, 0, -1,
-                static_cast<int64_t>(fi.node_count()) - 1, &matched, &out);
+                static_cast<int64_t>(fi.node_count()) - 1, &matched, &out,
+                &expanded);
     }
   }
+  if (candidates != nullptr) *candidates += expanded;
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
@@ -132,25 +142,45 @@ void ExpectStatsEqual(const MatchStats& a, const MatchStats& b,
   EXPECT_EQ(a.result_docs, b.result_docs) << what;
 }
 
-/// Runs `queries` random patterns against `idx` and cross-checks, per
-/// pattern and mode: new engine (memory) == new engine (paged) == reference
-/// matcher; constraint mode additionally equals the oracle. One
-/// MatchContext is shared across every call to exercise reuse.
+/// `queries` random connected sub-patterns of documents drawn from
+/// `gen_doc` over ids [0, doc_space).
+std::vector<QueryPattern> SampledPatterns(
+    const CollectionIndex& idx, const std::function<Document(DocId)>& gen_doc,
+    DocId doc_space, int queries, uint64_t seed) {
+  Rng rng(seed, 17);
+  std::vector<QueryPattern> out;
+  for (int qi = 0; qi < queries; ++qi) {
+    Document sample = gen_doc(rng.Uniform(doc_space));
+    size_t len = 2 + rng.Uniform(6);
+    out.push_back(SampleQueryPattern(sample, idx.names(), len, &rng,
+                                     /*value_bias=*/0.3));
+  }
+  return out;
+}
+
+/// Candidates expanded over one RunDifferential call (memory accessor,
+/// both modes) by the engine and by the unsteered reference.
+struct CandidateTotals {
+  uint64_t engine = 0;
+  uint64_t reference = 0;
+};
+
+/// Runs `patterns` against `idx` and cross-checks, per pattern and mode:
+/// new engine (memory) == new engine (paged) == reference matcher;
+/// constraint mode additionally equals the oracle. One MatchContext is
+/// shared across every call to exercise reuse. Adds to `totals` if given.
 void RunDifferential(const CollectionIndex& idx,
-                     const std::function<Document(DocId)>& gen_doc,
-                     DocId doc_space, int queries, uint64_t seed) {
+                     const std::vector<QueryPattern>& patterns,
+                     CandidateTotals* totals = nullptr) {
   PagedIndex paged = PagedIndex::Build(idx.index());
   BufferPool pool(&paged.file(), 256);
   MatchContext ctx;  // reused everywhere, including across modes/accessors
   PlanCache plan_cache;  // dedicated, so hit/miss behavior is deterministic
-  Rng rng(seed, 17);
-  int nonempty = 0;
+  CandidateTotals local;
+  if (totals == nullptr) totals = &local;
+  size_t nonempty = 0;
 
-  for (int qi = 0; qi < queries; ++qi) {
-    Document sample = gen_doc(rng.Uniform(doc_space));
-    size_t len = 2 + rng.Uniform(6);
-    QueryPattern pattern = SampleQueryPattern(sample, idx.names(), len,
-                                              &rng, /*value_bias=*/0.3);
+  for (const QueryPattern& pattern : patterns) {
     // The reference set is compiled with the planner off: no pruning, no
     // selectivity reordering, no cache. Everything below must equal what
     // matching this raw set produces.
@@ -181,7 +211,9 @@ void RunDifferential(const CollectionIndex& idx,
       paged_out.erase(std::unique(paged_out.begin(), paged_out.end()),
                       paged_out.end());
 
-      std::vector<DocId> ref_out = RefMatch(idx.index(), *compiled, mode);
+      std::vector<DocId> ref_out =
+          RefMatch(idx.index(), *compiled, mode, &totals->reference);
+      totals->engine += mem_stats.candidates;
 
       EXPECT_EQ(mem_out, ref_out) << what;
       EXPECT_EQ(paged_out, ref_out) << what;
@@ -240,7 +272,7 @@ void RunDifferential(const CollectionIndex& idx,
     }
   }
   // The workload must exercise hits, not just misses.
-  EXPECT_GT(nonempty, queries / 6);
+  EXPECT_GT(nonempty, patterns.size() / 6);
 }
 
 TEST(DifferentialMatch, HeavyIdenticalSiblingSynthetic) {
@@ -259,8 +291,9 @@ TEST(DifferentialMatch, HeavyIdenticalSiblingSynthetic) {
   auto idx = std::move(builder).Finish();
   ASSERT_TRUE(idx.ok());
   ASSERT_TRUE(idx->index().Validate().ok());
-  RunDifferential(*idx, [&gen](DocId d) { return gen.Generate(d); },
-                  kDocs + 30, /*queries=*/50, /*seed=*/0xD1FF);
+  RunDifferential(*idx, SampledPatterns(
+                            *idx, [&gen](DocId d) { return gen.Generate(d); },
+                            kDocs + 30, /*queries=*/50, /*seed=*/0xD1FF));
 }
 
 TEST(DifferentialMatch, DepthFirstSequencerNesting) {
@@ -281,8 +314,9 @@ TEST(DifferentialMatch, DepthFirstSequencerNesting) {
   auto idx = std::move(builder).Finish();
   ASSERT_TRUE(idx.ok());
   ASSERT_TRUE(idx->index().Validate().ok());
-  RunDifferential(*idx, [&gen](DocId d) { return gen.Generate(d); },
-                  kDocs + 20, /*queries=*/40, /*seed=*/0xBEE5);
+  RunDifferential(*idx, SampledPatterns(
+                            *idx, [&gen](DocId d) { return gen.Generate(d); },
+                            kDocs + 20, /*queries=*/40, /*seed=*/0xBEE5));
 }
 
 TEST(DifferentialMatch, XMarkRecords) {
@@ -301,8 +335,82 @@ TEST(DifferentialMatch, XMarkRecords) {
   auto idx = std::move(builder).Finish();
   ASSERT_TRUE(idx.ok());
   ASSERT_TRUE(idx->index().Validate().ok());
-  RunDifferential(*idx, [&gen](DocId d) { return gen.Generate(d); },
-                  kDocs, /*queries=*/40, /*seed=*/0x7A6C);
+  RunDifferential(*idx, SampledPatterns(
+                            *idx, [&gen](DocId d) { return gen.Generate(d); },
+                            kDocs, /*queries=*/40, /*seed=*/0x7A6C));
+}
+
+// --- At a size where anchor steering jumps ------------------------------
+//
+// The corpora above hold at most 250 documents, so few nested links span
+// more than one 128-entry block. The cases below are large enough for the
+// steered scan's jumps to cross blocks and walk cover chains.
+
+/// Blocks in the longest link whose path has nested occurrences.
+uint32_t WidestNestedLinkBlocks(const FrozenIndex& fi) {
+  uint32_t widest = 0;
+  for (PathId p = 0; p < fi.distinct_paths(); ++p) {
+    if (fi.HasNested(p)) widest = std::max(widest, fi.LinkBlocks(p));
+  }
+  return widest;
+}
+
+TEST(DifferentialMatch, HeavyIdenticalSiblingSyntheticAtScale) {
+  // A wide value vocabulary makes most value leaves occur about once, so
+  // sampled patterns that include one anchor on it late in the sequence.
+  SyntheticParams params;
+  params.identical_percent = 85;
+  params.value_percent = 25;
+  params.value_vocab = 5000;
+  IndexOptions opts;
+  opts.keep_documents = true;
+  CollectionBuilder builder(opts);
+  SyntheticDataset gen(params, builder.names(), builder.values());
+  constexpr DocId kDocs = 2000;
+  for (DocId d = 0; d < kDocs; ++d) {
+    ASSERT_TRUE(builder.Add(gen.Generate(d)).ok());
+  }
+  auto idx = std::move(builder).Finish();
+  ASSERT_TRUE(idx.ok());
+  EXPECT_GT(WidestNestedLinkBlocks(idx->index()), 1u);
+  CandidateTotals totals;
+  RunDifferential(
+      *idx,
+      SampledPatterns(*idx, [&gen](DocId d) { return gen.Generate(d); },
+                      kDocs, /*queries=*/40, /*seed=*/0x5CA1E),
+      &totals);
+  EXPECT_LT(totals.engine, totals.reference);
+}
+
+TEST(DifferentialMatch, XMarkTable7ShapesAtScale) {
+  // Q1 texts narrowed by one mail's sender: the sender's value path occurs
+  // about once, so the anchor sits late in each sequence, after the
+  // nested item/mail positions.
+  XMarkParams params;
+  IndexOptions opts;
+  opts.keep_documents = true;
+  CollectionBuilder builder(opts);
+  XMarkGenerator gen(params, builder.names(), builder.values());
+  constexpr DocId kDocs = 4000;
+  for (DocId d = 0; d < kDocs; ++d) {
+    ASSERT_TRUE(builder.Add(gen.Generate(d)).ok());
+  }
+  auto idx = std::move(builder).Finish();
+  ASSERT_TRUE(idx.ok());
+  EXPECT_GT(WidestNestedLinkBlocks(idx->index()), 1u);
+  Rng rng(0x7AB7, 5);
+  std::vector<QueryPattern> patterns;
+  for (const std::string& text :
+       XMarkQ1Texts(gen, idx->names(), kDocs, /*count=*/24, &rng)) {
+    auto pattern = ParseXPath(text);
+    ASSERT_TRUE(pattern.ok()) << text;
+    patterns.push_back(std::move(*pattern));
+  }
+  ASSERT_EQ(patterns.size(), 24u);
+  CandidateTotals totals;
+  RunDifferential(*idx, patterns, &totals);
+  // Steering skips most of the nested mail occurrences.
+  EXPECT_LT(totals.engine * 4, totals.reference);
 }
 
 TEST(DifferentialMatch, PersistedImageStaysByteStableAndLoads) {

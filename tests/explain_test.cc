@@ -22,6 +22,55 @@ TEST(Explain, PlanShowsSequencesAndParents) {
   EXPECT_NE(plan->find("(parent [0])"), std::string::npos);
 }
 
+TEST(Explain, AnchorIsTheDeepestRarestPosition) {
+  // Every record shares /site and its prefix, so those positions occur once
+  // — and so does the sender value /.../mail/from=p1, deeper in the
+  // sequence. Explain names the deepest of them: the position the matcher
+  // steers by, not /site at position 0.
+  CollectionIndex idx = testing::MakeIndex(
+      {"site(regions(europe(item(location('US'),mail(from('p1'),"
+       "date('d1'))))))",
+       "site(regions(europe(item(location('US'),mail(from('p2'),"
+       "date('d1'))))))",
+       "site(regions(europe(item(location('DE'),mail(from('p3'),"
+       "date('d2'))))))"});
+  const char* kQuery =
+      "/site//item[location='US']/mail[from='p1']/date[text='d1']";
+  QueryExplain explain;
+  ExecOptions opts;
+  opts.explain = &explain;
+  auto result = idx.executor().Execute(kQuery, nullptr, opts);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(*result, (std::vector<DocId>{0}));
+  ASSERT_EQ(explain.seq.size(), 1u);
+
+  auto compiled = idx.executor().Compile(*ParseXPath(kQuery));
+  ASSERT_TRUE(compiled.ok());
+  ASSERT_EQ(compiled->size(), 1u);
+  const QuerySeq& q = (*compiled)[0];
+  const uint32_t anchor = explain.seq[0].anchor;
+  ASSERT_LT(anchor, q.size());
+  EXPECT_EQ(explain.seq[0].anchor_cardinality, 1u);
+  EXPECT_EQ(idx.index().LinkSize(q.paths[0]), 1u);  // /site ties
+  EXPECT_EQ(idx.index().LinkSize(q.paths[anchor]), 1u);
+  for (size_t i = anchor + 1; i < q.size(); ++i) {
+    EXPECT_GT(idx.index().LinkSize(q.paths[i]), 1u) << i;
+  }
+  // Appended piecewise: GCC 12 -O3 flags "[" + std::to_string(...) with a
+  // false -Wrestrict.
+  std::string line = "[";
+  line += std::to_string(anchor);
+  line += "] /site/regions/europe/item/mail/from=";
+  EXPECT_NE(QuerySeqToString(q, idx.dict(), idx.names()).find(line),
+            std::string::npos)
+      << QuerySeqToString(q, idx.dict(), idx.names());
+  std::string reported = "anchor @";
+  reported += std::to_string(anchor);
+  reported += " (cardinality 1)";
+  EXPECT_NE(explain.ToString().find(reported), std::string::npos)
+      << explain.ToString();
+}
+
 TEST(Explain, TruncationFlagged) {
   std::vector<std::string> specs;
   for (int i = 0; i < 10; ++i) {

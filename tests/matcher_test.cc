@@ -274,6 +274,127 @@ TEST_F(MatcherTest, StatsAreAccountedFor) {
   EXPECT_EQ(stats.result_docs, 1u);
 }
 
+// --- Anchor steering -------------------------------------------------------
+//
+// A query rooted at the data's root puts a once-occurring path first, so
+// its anchor is the last position whose path occurs at most once. The
+// cases below that need a repeated or nested anchor path match sequences
+// built by hand without the root: tree queries rooted lower down.
+
+TEST_F(MatcherTest, AnchorAtPositionZeroScansEveryEntry) {
+  // /P occurs once and /P/R twice, so position 0 anchors and nothing is
+  // steered: P and both R entries are candidates.
+  BuildCollection({"P(D,R)", "P(R)"});
+  QuerySeq q = Query("P(R)");
+  EXPECT_EQ(AnchorPosition(q, [&](PathId p) { return index_.LinkSize(p); }),
+            0u);
+  MatchStats stats;
+  EXPECT_EQ(Run(q, MatchMode::kConstraint, &stats),
+            (std::vector<DocId>{0, 1}));
+  EXPECT_EQ(stats.candidates, 3u);
+  EXPECT_EQ(stats.terminals, 2u);
+}
+
+TEST_F(MatcherTest, AnchorPathAlsoAtEarlierPosition) {
+  // Two b branches (a[b][b] below its root): both positions carry /a/b,
+  // the anchor is the second. A b entry is a candidate at position 0 only
+  // when another b lies in its range — identical siblings nest in the trie.
+  BuildCollection({"a(x,b(e))", "a(b(c),b(d))", "a(b(f),b(g),b(h))"});
+  const PathId ab = Query("a(b)").paths.back();
+  QuerySeq q;
+  q.paths = {ab, ab};
+  q.parent = {-1, -1};
+  for (MatchMode mode : {MatchMode::kNaive, MatchMode::kConstraint}) {
+    MatchStats stats;
+    EXPECT_EQ(Run(q, mode, &stats), (std::vector<DocId>{1, 2}));
+    EXPECT_EQ(stats.terminals, 4u);
+    // Two of the five b entries hold another b; each spawns its frame.
+    EXPECT_EQ(stats.candidates, 6u);
+  }
+}
+
+TEST_F(MatcherTest, AnchorWithNestedOccurrences) {
+  // D[L][L] below the root: /P/D/L is the anchor and occurs three times,
+  // two of them nested (the L siblings of doc 2). The D entries of docs 0
+  // and 1 hold no L and are jumped over in one search. (Children sequence
+  // in path-id order, so doc 0 interns A, B, C before D: each D then gets
+  // its own trie node behind a different sibling.)
+  BuildCollection(
+      {"P(A,B,C,D)", "P(B,D)", "P(D(L(S),L(B)))", "P(C,D(L(S)))"});
+  QuerySeq chain = Query("P(D(L))");
+  const PathId pd = chain.paths[1];
+  const PathId pdl = chain.paths[2];
+  QuerySeq q;
+  q.paths = {pd, pdl, pdl};
+  q.parent = {-1, 0, 0};
+  for (MatchMode mode : {MatchMode::kNaive, MatchMode::kConstraint}) {
+    MatchStats stats;
+    EXPECT_EQ(Run(q, mode, &stats), (std::vector<DocId>{2}));
+    EXPECT_EQ(stats.terminals, 1u);
+    // The D of docs 2 and 3 (doc 3's L is an anchor occurrence) and both
+    // L of doc 2: the first steered, the second as the anchor.
+    EXPECT_EQ(stats.candidates, 4u);
+  }
+}
+
+TEST_F(MatcherTest, NextAnchorPastFrameEndExitsEarly) {
+  // The only x leaf sits under the first D entry. Past it the D frame ends
+  // at the next entry instead of reading the remaining ones.
+  BuildCollection({"P(A,B,C,E,D(L('x')))", "P(B,D(L))", "P(C,D(L))",
+                   "P(E,D(L))"});
+  QuerySeq q = Query("P(D(L('x')))");
+  EXPECT_EQ(AnchorPosition(q, [&](PathId p) { return index_.LinkSize(p); }),
+            3u);
+  MatchStats stats;
+  EXPECT_EQ(Run(q, MatchMode::kConstraint, &stats), (std::vector<DocId>{0}));
+  EXPECT_EQ(stats.candidates, 4u);  // one per position, all on doc 0
+  EXPECT_EQ(stats.terminals, 1u);
+  // Four D entries: the frame reads the first two and stops, short of the
+  // unsteered chain query.
+  MatchStats unsteered;
+  EXPECT_EQ(Run(Query("P(D(L))"), MatchMode::kConstraint, &unsteered),
+            (std::vector<DocId>{0, 1, 2, 3}));
+  EXPECT_LT(stats.link_entries_read, unsteered.link_entries_read);
+}
+
+TEST_F(MatcherTest, EmptyAnchorLinkScansNothing) {
+  BuildCollection({"P(R(L('a')))", "P(R(L('b')))"});
+  QuerySeq q = Query("P(R(L('absent')))");
+  EXPECT_EQ(AnchorPosition(q, [&](PathId p) { return index_.LinkSize(p); }),
+            3u);
+  for (MatchMode mode : {MatchMode::kNaive, MatchMode::kConstraint}) {
+    MatchStats stats;
+    EXPECT_TRUE(Run(q, mode, &stats).empty());
+    EXPECT_EQ(stats.link_entries_read, 0u);
+    EXPECT_EQ(stats.link_binary_searches, 0u);
+    EXPECT_EQ(stats.candidates, 0u);
+  }
+}
+
+TEST_F(MatcherTest, JumpWalksCoverChainToOccurrenceHoldingAnchor) {
+  // L entries in serial order: doc 0's (no B), then doc 1's outer L, its
+  // inner L (no B), and doc 2's B under the outer L. Past doc 0's L the
+  // last L before B does not cover it; its cover-chain ancestor does.
+  BuildCollection({"P(D,L(S))", "P(L(M),L(T))", "P(L(M,B))"});
+  QuerySeq q = Query("P(L(B))");
+  for (MatchMode mode : {MatchMode::kNaive, MatchMode::kConstraint}) {
+    MatchStats stats;
+    EXPECT_EQ(Run(q, mode, &stats), (std::vector<DocId>{2}));
+    EXPECT_EQ(stats.terminals, 1u);
+  }
+}
+
+TEST_F(MatcherTest, JumpLandsOnOutermostOccurrenceHoldingAnchor) {
+  // The Figure 4 false alarm behind a jump: the last L before B covers B,
+  // and so does its enclosing L, which comes first in the scan. Naive
+  // matching finds M and B through the outer L only; the constraint
+  // test then rejects B as the inner L's child.
+  BuildCollection({"P(D,L(S))", "P(L(M),L(B))"});
+  QuerySeq q = Query("P(L(M,B))");
+  EXPECT_EQ(Run(q, MatchMode::kNaive), (std::vector<DocId>{1}));
+  EXPECT_TRUE(Run(q, MatchMode::kConstraint).empty());
+}
+
 TEST_F(MatcherTest, MatchSequenceOnEmptyIndex) {
   Schema schema;
   model_ = schema.BuildModel(dict_);
