@@ -129,8 +129,8 @@ int Run(const FlagSet& flags) {
               "plan cache:", static_cast<unsigned long long>(cs.hits),
               static_cast<unsigned long long>(cs.misses), hit_rate * 100.0);
 
-  // Phase 2: result-cache hit latency through a QueryService (the hit is
-  // served on the calling thread — no queue, no worker handoff).
+  // Phase 2: result-cache hit latency through a QueryService (a hit takes
+  // no execution slot).
   auto shared_index = std::make_shared<CollectionIndex>(std::move(index));
   QueryService::Backend backend = [shared_index](std::string_view xpath,
                                                  const ExecOptions& opts) {

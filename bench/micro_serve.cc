@@ -6,10 +6,10 @@
 //      client-observed p50/p99 latency (socket + framing + admission +
 //      execution).
 //   2. overload — the same corpus behind a deliberately starved server
-//      (1 worker, queue of 1) under the same offered load; reports how
-//      many requests were shed with kOverloaded. Shedding is the designed
-//      behavior, so the phase asserts shed > 0 rather than treating it as
-//      failure.
+//      (1 execution slot, 1 waiter) under the same offered load; reports
+//      how many requests were shed with kOverloaded. Shedding is the
+//      designed behavior, so the phase asserts shed > 0 rather than
+//      treating it as failure.
 //
 //   micro_serve [--n=N] [--scale=f] [--shards=S] [--clients=C] [--ops=K]
 //               [--workers=W] [--out=BENCH_serve.json]

@@ -12,12 +12,14 @@
 //   --port=N           TCP port; 0 = ephemeral (default)
 //   --port_file=PATH   write the bound port there (scripts poll this file;
 //                      written via rename so readers never see a partial)
-//   --workers=N        query worker threads (default 2)
-//   --queue=N          admission queue bound; full => kOverloaded (default 64)
+//   --workers=N        queries executing at once, each on its connection's
+//                      thread (default 2)
+//   --queue=N          queries that may wait for a free slot; past that
+//                      => kOverloaded (default 64)
 //   --deadline_ms=N    default per-request deadline; 0 = none
 //   --threads=N        shard scatter-gather parallelism (0 = default pool)
 //   --result_cache=0|1 generation-keyed result cache; hits are served on
-//                      the accepting thread without queueing (default 1)
+//                      the connection thread without waiting (default 1)
 //   --canary=XPATH     (repeatable) validation query a candidate image must
 //                      answer without error before a hot-swap goes live
 //

@@ -4,7 +4,7 @@
 //
 // Policy (evaluated per record, in order):
 //   error     — a non-OK status that is neither a shed nor a deadline miss
-//   shed      — admission queue was full (kOverloaded)
+//   shed      — every slot busy and the wait list full (kOverloaded)
 //   deadline  — the request's deadline expired (kDeadlineExceeded)
 //   slow      — latency_us >= slow_micros (when slow_micros > 0)
 //   sampled   — 1 of every `sample_every` remaining OK requests
@@ -16,7 +16,7 @@
 // closed, renamed to `<path>.1` (replacing any previous one) and a fresh
 // `<path>` is opened — a bounded two-file footprint, no background thread.
 //
-// The log is internally synchronized; QueryService workers append
+// The log is internally synchronized; QueryService callers append
 // concurrently. Formatting happens outside the lock, the write inside.
 
 #ifndef XSEQ_SRC_OBS_REQUEST_LOG_H_
@@ -58,7 +58,7 @@ struct RequestLogRecord {
   bool result_cache_hit = false;
   bool plan_cache_hit = false;
   uint64_t latency_us = 0;  ///< end-to-end, as the server saw it
-  uint64_t queue_us = 0;    ///< admission-queue wait
+  uint64_t queue_us = 0;    ///< wait for an execution slot
   uint64_t docs = 0;        ///< result size
   /// Pre-rendered planner explain object (QueryExplain::ToJson); empty =
   /// field omitted.

@@ -1,6 +1,9 @@
 #include "src/server/query_service.h"
 
 #include <chrono>
+#include <memory>
+#include <string>
+#include <thread>
 #include <utility>
 
 #include "src/obs/metrics.h"
@@ -51,60 +54,11 @@ const ServeMetricSet& ServeMetrics() {
 
 }  // namespace
 
-/// One admitted request, shared between the submitting thread (which waits
-/// on `cv`) and the worker that executes it.
-struct QueryService::Request {
-  std::string xpath;
-  int64_t deadline_micros = 0;  ///< absolute, 0 = none
-  Timer admitted;               ///< queue-latency clock
-  bool cache_eligible = false;  ///< store the answer if generation held
-  uint64_t cache_generation = 0;///< generation observed at admission
-
-  /// Tracing state, created at admission so the queue wait is a real span.
-  /// The builder is written by the admitting thread (StartTrace) and then
-  /// only by the worker; the Request handoff orders the accesses.
-  bool tracing = false;
-  obs::TraceBuilder trace;
-  uint32_t root_span = obs::kNoSpan;
-  uint32_t queue_span = obs::kNoSpan;
-  bool has_trace = false;   ///< `captured` holds the finished tree
-  obs::Trace captured;
-
-  bool explaining = false;
-  QueryExplain explain;
-
-  uint64_t queued_us = 0;   ///< measured at dequeue, read after Wait()
-
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  StatusOr<QueryResult> result{Status::Internal("request not executed")};
-
-  void Complete(StatusOr<QueryResult> r) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      result = std::move(r);
-      done = true;
-    }
-    cv.notify_all();
-  }
-
-  StatusOr<QueryResult> Wait() {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return done; });
-    return std::move(result);
-  }
-};
-
 QueryService::QueryService(Backend backend, ServiceOptions options)
     : backend_(std::move(backend)), options_(std::move(options)) {
   if (options_.workers < 1) options_.workers = 1;
   if (options_.max_queue == 0) {
     options_.max_queue = static_cast<size_t>(options_.workers);
-  }
-  workers_.reserve(static_cast<size_t>(options_.workers));
-  for (int i = 0; i < options_.workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -149,130 +103,91 @@ StatusOr<QueryResult> QueryService::Execute(std::string_view xpath,
   if (metrics) ServeMetrics().requests->Increment();
 
   obs::RequestLog* log = options_.request_log;
+  obs::Tracer* tracer = options_.exec.tracer;
   // Tracing engages for a sampled propagated context even without a local
   // ring; explain is computed whenever the caller asks or the access log
   // will want its summary.
-  const bool tracing = options_.exec.tracer != nullptr || ropts.trace.sampled;
+  const bool tracing = tracer != nullptr || ropts.trace.sampled;
   const bool explaining = ropts.want_explain || log != nullptr;
 
-  // Result cache: a hit is served on the caller's thread — no admission,
-  // no queueing, no worker. Lookups use the generation of *this moment*,
-  // so a mutation that committed before this request can never be masked
-  // by a stale entry.
+  Timer latency;
+  obs::TraceBuilder trace;
+  uint32_t root = obs::kNoSpan;
+  if (tracing) {
+    root = trace.StartTrace("serve", ropts.trace);
+    if (ropts.request_id != 0) {
+      trace.Annotate(root, "request_id", ropts.request_id);
+    }
+  }
+  QueryExplain explain;
+
+  // Result cache: a hit takes no slot. Lookups use the generation of *this
+  // moment*, so a mutation that committed before this request can never be
+  // masked by a stale entry.
   const bool result_caching =
       options_.result_cache != nullptr && options_.generation != nullptr;
-  uint64_t admission_generation = 0;
-  if (result_caching) {
-    Timer hit_timer;
-    admission_generation = options_.generation();
-    if (auto hit = options_.result_cache->Lookup(admission_generation, xpath)) {
-      QueryResult out = *hit;
-      out.stats.result_cache_hits += 1;
-      if (metrics) {
-        const ServeMetricSet& m = ServeMetrics();
-        m.ok->Increment();
-        m.latency_us->Record(static_cast<uint64_t>(hit_timer.ElapsedMicros()));
-      }
-      QueryExplain explain;
-      if (explaining) {
-        explain.result_cache_hit = true;
-        explain.result_docs = out.docs.size();
-        explain.sequences = out.stats.matched_sequences;
-      }
-      uint64_t trace_id = 0;
-      if (tracing) {
-        obs::TraceBuilder tb;
-        uint32_t root = tb.StartTrace("serve", ropts.trace);
-        if (ropts.request_id != 0) {
-          tb.Annotate(root, "request_id", ropts.request_id);
-        }
-        obs::SpanScope hit_span(&tb, "result_cache_hit", root);
-        hit_span.Annotate("docs", out.docs.size());
-        hit_span.End();
-        tb.EndSpan(root);
-        obs::Trace t = tb.Finish();
-        trace_id = t.trace_id;
-        if (options_.exec.tracer != nullptr) {
-          obs::Trace copy = t;
-          options_.exec.tracer->Record(std::move(copy));
-        }
-        if (outcome != nullptr) {
-          outcome->traced = true;
-          outcome->trace = std::move(t);
-        }
-      }
-      if (outcome != nullptr && explaining) {
-        outcome->explained = true;
-        outcome->explain = explain;
-      }
+  const uint64_t generation = result_caching ? options_.generation() : 0;
+  std::shared_ptr<const QueryResult> hit;
+  if (result_caching) hit = options_.result_cache->Lookup(generation, xpath);
+
+  int64_t deadline_micros = 0;
+  uint64_t queue_us = 0;
+  if (hit == nullptr) {
+    const uint64_t budget = ropts.deadline_budget_micros != 0
+                                ? ropts.deadline_budget_micros
+                                : options_.default_deadline_micros;
+    deadline_micros =
+        budget != 0 ? DeadlineNowMicros() + static_cast<int64_t>(budget)
+                    : options_.exec.deadline_micros;
+    const uint32_t queue_span =
+        tracing ? trace.BeginSpan("queue", root) : obs::kNoSpan;
+    Timer wait;
+    Status slot = AcquireSlot();
+    if (!slot.ok()) {
       if (log != nullptr) {
-        (void)log->Append(MakeLogRecord(
-            xpath, ropts, Status::OK(), trace_id,
-            static_cast<uint64_t>(hit_timer.ElapsedMicros()), 0,
-            out.docs.size(), explaining ? &explain : nullptr));
+        (void)log->Append(
+            MakeLogRecord(xpath, ropts, slot, 0, 0, 0, 0, nullptr));
       }
-      return out;
+      return slot;
+    }
+    queue_us = static_cast<uint64_t>(wait.ElapsedMicros());
+    if (metrics) ServeMetrics().queue_us->Record(queue_us);
+    if (tracing) {
+      trace.Annotate(queue_span, "queue_us", queue_us);
+      trace.EndSpan(queue_span);
     }
   }
 
-  uint64_t budget = ropts.deadline_budget_micros != 0
-                        ? ropts.deadline_budget_micros
-                        : options_.default_deadline_micros;
-  auto request = std::make_shared<Request>();
-  request->xpath.assign(xpath.data(), xpath.size());
-  request->cache_eligible = result_caching;
-  request->cache_generation = admission_generation;
-  request->explaining = explaining;
-  if (budget != 0) {
-    request->deadline_micros =
-        DeadlineNowMicros() + static_cast<int64_t>(budget);
+  StatusOr<QueryResult> result =
+      hit != nullptr
+          ? StatusOr<QueryResult>(*hit)
+          : RunBackend(xpath, deadline_micros, tracing ? &trace : nullptr,
+                       root, explaining ? &explain : nullptr);
+  if (hit != nullptr) {
+    result->stats.result_cache_hits += 1;
+    if (explaining) {
+      explain.result_cache_hit = true;
+      explain.result_docs = result->docs.size();
+      explain.sequences = result->stats.matched_sequences;
+    }
+    if (tracing) {
+      obs::SpanScope hit_span(&trace, "result_cache_hit", root);
+      hit_span.Annotate("docs", result->docs.size());
+    }
   } else {
-    request->deadline_micros = options_.exec.deadline_micros;
-  }
-  if (tracing) {
-    // The trace (and its "queue" span) starts *before* enqueue so the
-    // admission wait is covered by a real span, not just an annotation.
-    request->tracing = true;
-    request->root_span = request->trace.StartTrace("serve", ropts.trace);
-    if (ropts.request_id != 0) {
-      request->trace.Annotate(request->root_span, "request_id",
-                              ropts.request_id);
+    if (result_caching && result.ok() &&
+        options_.generation() == generation) {
+      // No mutation committed since the lookup (generations are
+      // monotone), so this answer is exactly the answer at `generation`.
+      // If one did, discard rather than cache a possibly mixed-state
+      // answer.
+      options_.result_cache->Insert(generation, xpath, *result);
     }
-    request->queue_span =
-        request->trace.BeginSpan("queue", request->root_span);
+    ReleaseSlot();  // the last use of `this`: Shutdown() may now return
   }
 
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shutdown_) {
-      Status st = Status::FailedPrecondition("query service is shutting down");
-      if (log != nullptr) {
-        (void)log->Append(
-            MakeLogRecord(xpath, ropts, st, 0, 0, 0, 0, nullptr));
-      }
-      return st;
-    }
-    if (queue_.size() >= options_.max_queue) {
-      if (metrics) ServeMetrics().shed->Increment();
-      Status st = Status::Overloaded(
-          "request queue full (" + std::to_string(options_.max_queue) +
-          " pending); retry with backoff");
-      if (log != nullptr) {
-        (void)log->Append(
-            MakeLogRecord(xpath, ropts, st, 0, 0, 0, 0, nullptr));
-      }
-      return st;
-    }
-    queue_.push_back(request);
-    if (metrics) {
-      ServeMetrics().queue_depth->Set(static_cast<int64_t>(queue_.size()));
-    }
-  }
-  work_cv_.notify_one();
-
-  auto result = request->Wait();
   const uint64_t latency_us =
-      static_cast<uint64_t>(request->admitted.ElapsedMicros());
+      static_cast<uint64_t>(latency.ElapsedMicros());
   if (metrics) {
     const ServeMetricSet& m = ServeMetrics();
     m.latency_us->Record(latency_us);
@@ -284,122 +199,115 @@ StatusOr<QueryResult> QueryService::Execute(std::string_view xpath,
       m.errors->Increment();
     }
   }
-  const uint64_t trace_id =
-      request->has_trace ? request->captured.trace_id : 0;
-  if (outcome != nullptr) {
-    if (request->has_trace) {
+  uint64_t trace_id = 0;
+  if (tracing) {
+    obs::Trace t = trace.Finish();
+    trace_id = t.trace_id;
+    if (tracer != nullptr) {
+      obs::Trace copy = t;
+      tracer->Record(std::move(copy));
+    }
+    if (outcome != nullptr) {
       outcome->traced = true;
-      outcome->trace = std::move(request->captured);
+      outcome->trace = std::move(t);
     }
-    if (request->explaining) {
-      outcome->explained = true;
-      outcome->explain = request->explain;
-    }
+  }
+  if (outcome != nullptr && explaining) {
+    outcome->explained = true;
+    outcome->explain = explain;
   }
   if (log != nullptr) {
     (void)log->Append(MakeLogRecord(
-        xpath, ropts, result.status(), trace_id, latency_us,
-        request->queued_us, result.ok() ? result->docs.size() : 0,
-        request->explaining ? &request->explain : nullptr));
+        xpath, ropts, result.status(), trace_id, latency_us, queue_us,
+        result.ok() ? result->docs.size() : 0,
+        explaining ? &explain : nullptr));
   }
   return result;
 }
 
-void QueryService::WorkerLoop() {
-  for (;;) {
-    std::shared_ptr<Request> request;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&] { return shutdown_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // shutdown_ set and fully drained
-      request = std::move(queue_.front());
-      queue_.pop_front();
-      ++inflight_;
-      if (obs::MetricsEnabled()) {
-        ServeMetrics().queue_depth->Set(static_cast<int64_t>(queue_.size()));
-        ServeMetrics().inflight->Set(static_cast<int64_t>(inflight_));
-      }
-    }
-
-    const uint64_t queued_us =
-        static_cast<uint64_t>(request->admitted.ElapsedMicros());
-    request->queued_us = queued_us;
-    if (obs::MetricsEnabled()) {
-      ServeMetrics().queue_us->Record(queued_us);
-    }
-    if (request->tracing) {
-      // The admission wait ends here; close its span where the worker
-      // picked the request up.
-      request->trace.Annotate(request->queue_span, "queue_us", queued_us);
-      request->trace.EndSpan(request->queue_span);
-    }
-
-    ExecOptions opts = options_.exec;
-    opts.deadline_micros = request->deadline_micros;
-    opts.tracer = nullptr;  // the request's builder owns this trace
-    if (request->explaining) opts.explain = &request->explain;
-    StatusOr<QueryResult> result = Status::Internal("request not executed");
-    if (opts.DeadlineExpired()) {
-      // The time budget burned away in the queue: don't start work the
-      // caller has already given up on.
-      result = Status::DeadlineExceeded("deadline expired while queued (" +
-                                        std::to_string(queued_us) + "us)");
-    } else if (request->tracing) {
-      obs::SpanScope exec_span(&request->trace, "execute",
-                               request->root_span);
-      opts.trace = &request->trace;
-      opts.trace_parent = exec_span.id();
-      result = backend_(request->xpath, opts);
-      if (result.ok()) exec_span.Annotate("docs", result->docs.size());
-    } else {
-      result = backend_(request->xpath, opts);
-    }
-    if (request->tracing) {
-      request->trace.EndSpan(request->root_span);
-      request->captured = request->trace.Finish();
-      request->has_trace = true;
-      if (options_.exec.tracer != nullptr) {
-        obs::Trace copy = request->captured;
-        options_.exec.tracer->Record(std::move(copy));
-      }
-    }
-
-    if (request->cache_eligible && result.ok() &&
-        options_.generation() == request->cache_generation) {
-      // No mutation committed since admission (generations are monotone),
-      // so this answer is exactly the answer at cache_generation. If one
-      // did, discard rather than cache a possibly mixed-state answer.
-      options_.result_cache->Insert(request->cache_generation,
-                                    request->xpath, *result);
-    }
-
-    // Settle the accounting before waking the caller, so `pending()` never
-    // counts a request whose Execute() has already returned.
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --inflight_;
-      if (obs::MetricsEnabled()) {
-        ServeMetrics().inflight->Set(static_cast<int64_t>(inflight_));
-      }
-    }
-    request->Complete(std::move(result));
+StatusOr<QueryResult> QueryService::RunBackend(
+    std::string_view xpath, int64_t deadline_micros, obs::TraceBuilder* trace,
+    uint32_t root, QueryExplain* explain) const {
+  ExecOptions opts = options_.exec;
+  opts.deadline_micros = deadline_micros;
+  if (opts.DeadlineExpired()) {
+    // The time budget burned away waiting for a slot: don't start work the
+    // caller has already given up on.
+    return Status::DeadlineExceeded("deadline expired waiting for a slot");
   }
+  opts.tracer = nullptr;  // the request's builder owns this trace
+  opts.explain = explain;
+  obs::SpanScope exec_span(trace, "execute", root);
+  if (trace != nullptr) {
+    opts.trace = trace;
+    opts.trace_parent = exec_span.id();
+  }
+  StatusOr<QueryResult> result = backend_(xpath, opts);
+  if (result.ok()) exec_span.Annotate("docs", result->docs.size());
+  return result;
+}
+
+Status QueryService::AcquireSlot() {
+  const bool metrics = obs::MetricsEnabled();
+  const size_t slots = static_cast<size_t>(options_.workers);
+  std::unique_lock<std::mutex> lock(mu_);
+  if (shutdown_) {
+    return Status::FailedPrecondition("query service is shutting down");
+  }
+  if (running_ == slots) {
+    if (waiting_ >= options_.max_queue) {
+      if (metrics) ServeMetrics().shed->Increment();
+      return Status::Overloaded("all slots busy and " +
+                                std::to_string(waiting_) +
+                                " callers waiting; retry with backoff");
+    }
+    ++waiting_;
+    if (metrics) ServeMetrics().queue_depth->Set(static_cast<int64_t>(waiting_));
+    slot_cv_.wait(lock, [&] { return running_ < slots; });
+    --waiting_;
+    if (metrics) ServeMetrics().queue_depth->Set(static_cast<int64_t>(waiting_));
+  }
+  ++running_;
+  if (metrics) ServeMetrics().inflight->Set(static_cast<int64_t>(running_));
+  return Status::OK();
+}
+
+void QueryService::ReleaseSlot() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    --running_;
+    if (obs::MetricsEnabled()) {
+      ServeMetrics().inflight->Set(static_cast<int64_t>(running_));
+    }
+    if (waiting_ == 0) {
+      // Under the lock: once it drops, Shutdown() may return and the
+      // service be destroyed.
+      if (shutdown_ && running_ == 0) idle_cv_.notify_all();
+      return;
+    }
+    ++notifying_;
+  }
+  // Outside the lock, so the woken waiter does not block on it again.
+  slot_cv_.notify_one();
+  --notifying_;
 }
 
 void QueryService::Shutdown() {
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (shutdown_ && workers_.empty()) return;
+    std::unique_lock<std::mutex> lock(mu_);
     shutdown_ = true;
+    idle_cv_.wait(lock, [&] { return running_ == 0 && waiting_ == 0; });
   }
-  work_cv_.notify_all();
-  for (std::thread& t : workers_) t.join();
-  workers_.clear();
+  // Nothing runs or waits, so only the notify_one calls of past releases
+  // can still be touching the service.
+  while (notifying_ != 0) {
+    std::this_thread::yield();
+  }
 }
 
 size_t QueryService::pending() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size() + inflight_;
+  return waiting_ + running_;
 }
 
 }  // namespace xseq

@@ -300,21 +300,21 @@ size_t XseqServer::Stop() {
       return 0;
     }
     stopping_ = true;
-    inflight = busy_ + service_.pending();
+    // A query runs on its handler thread, so busy_ already counts it,
+    // whether it holds an execution slot or waits for one.
+    inflight = busy_;
   }
   if (accept_thread_.joinable()) accept_thread_.join();
 
   // Phase 1: let handlers finish the request they are serving (response
-  // written included).
+  // written included). A handler checks `stopping_` and bumps busy_ under
+  // one lock, so no request starts after this wait ends.
   {
     std::unique_lock<std::mutex> lock(mu_);
     drain_cv_.wait(lock, [&] { return busy_ == 0; });
   }
 
-  // Phase 2: kick idle handlers off their blocking reads and join
-  // everyone. QueryService workers are still alive here, so a handler
-  // that slipped a request in right before `stopping_` flipped still
-  // completes instead of deadlocking.
+  // Phase 2: kick idle handlers off their blocking reads and join everyone.
   std::vector<std::unique_ptr<Handler>> handlers;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -325,7 +325,8 @@ size_t XseqServer::Stop() {
     if (handler->thread.joinable()) handler->thread.join();
   }
 
-  // Phase 3: drain the service queue and stop the workers.
+  // Phase 3: close the service. Every handler has exited, so nothing runs
+  // or waits there and this returns at once.
   service_.Shutdown();
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -3,12 +3,14 @@
 // QueryService so admission control and deadlines apply to remote callers
 // exactly as to in-process ones.
 //
-// Threading model: one accept thread, one handler thread per connection
+// Threading model: one accept thread and one handler thread per connection
 // (each handles one request at a time — the protocol is strictly
-// request/response per connection), and the QueryService worker pool
-// behind them. A malformed frame (bad checksum, oversized length, torn
-// body) earns a best-effort kCorruption response and closes that
-// connection; the server itself never goes down from client bytes.
+// request/response per connection). A query runs on its handler thread;
+// the QueryService's execution slots bound how many run at once, and the
+// rest wait for a slot or are shed. A malformed frame (bad checksum,
+// oversized length, torn body) earns a best-effort kCorruption response
+// and closes that connection; the server itself never goes down from
+// client bytes.
 //
 // Lifecycle:
 //   XseqServer server(backend, options);

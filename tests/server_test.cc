@@ -285,8 +285,8 @@ struct BlockableBackend {
       return index.Query(xpath, opts);
     };
   }
-  // Blocks until `n` requests have been dequeued into the backend — i.e.
-  // a worker has pulled them off the admission queue.
+  // Blocks until `n` requests have entered the backend — i.e. each holds
+  // an execution slot.
   void WaitForEntered(int n) const {
     while (entered.load() < n) std::this_thread::yield();
   }
@@ -420,6 +420,56 @@ TEST(QueryServiceTest, ShutdownDrainsQueuedRequests) {
   shutdown.join();
   for (std::thread& t : callers) t.join();
   EXPECT_EQ(completed.load(), 4);
+}
+
+TEST(QueryServiceTest, BackendRunsOnTheCallingThread) {
+  CollectionIndex idx = MakeIndex(Corpus());
+  std::thread::id backend_thread;
+  QueryService service(
+      [&](std::string_view xpath, const ExecOptions& opts) {
+        backend_thread = std::this_thread::get_id();
+        return idx.Query(xpath, opts);
+      },
+      ServiceOptions{});
+  ASSERT_TRUE(service.Execute("/a/b").ok());
+  EXPECT_EQ(backend_thread, std::this_thread::get_id());
+}
+
+TEST(QueryServiceTest, NeverMoreThanWorkersInTheBackend) {
+  CollectionIndex idx = MakeIndex(Corpus());
+  std::atomic<int> inside{0};
+  std::atomic<int> most{0};
+  ServiceOptions options;
+  options.workers = 2;
+  QueryService service(
+      [&](std::string_view xpath, const ExecOptions& opts) {
+        const int now = ++inside;
+        int seen = most.load();
+        while (now > seen && !most.compare_exchange_weak(seen, now)) {
+        }
+        // Stay inside long enough for the other callers to pile up.
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+        auto result = idx.Query(xpath, opts);
+        --inside;
+        return result;
+      },
+      options);
+
+  constexpr int kCallers = 8;
+  constexpr int kRequests = 25;
+  std::atomic<int> ok{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&] {
+      for (int i = 0; i < kRequests; ++i) {
+        if (service.Execute("/a//b").ok()) ++ok;
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(ok.load(), kCallers * kRequests);
+  EXPECT_EQ(most.load(), 2);
+  EXPECT_EQ(service.pending(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -841,6 +891,26 @@ TEST_F(ServerE2ETest, OverloadShedsAcrossTheWire) {
   EXPECT_EQ(ok.load(), kClients - shed.load());
   EXPECT_GE(ok.load(), 1);  // the admitted request(s) completed normally
   server_->Stop();
+}
+
+TEST_F(ServerE2ETest, StopCountsAnInFlightQueryOnce) {
+  BlockableBackend backend;
+  backend.Block();
+  StartServer(ServiceOptions{}, backend.AsBackend());
+  XseqClient client = Connect();
+  std::thread query([&] { EXPECT_TRUE(client.Query("/a/b").ok()); });
+  backend.WaitForEntered(1);
+
+  size_t drained = 0;
+  std::thread stopper([&] { drained = server_->Stop(); });
+  // Stop() takes its count right after requesting the stop; give it that
+  // moment before the query may finish.
+  server_->WaitForStopRequest();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  backend.Unblock();
+  query.join();
+  stopper.join();
+  EXPECT_EQ(drained, 1u);
 }
 
 TEST_F(ServerE2ETest, DeadlineExceededCrossesTheWire) {
