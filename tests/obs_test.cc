@@ -8,6 +8,7 @@
 #include <cctype>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -716,6 +717,16 @@ TEST(Instrumentation, TracedDynamicQueryShowsSegmentProbes) {
   }
   EXPECT_EQ(probes, dyn.segment_count());
   EXPECT_EQ(scans, 1u);
+  // The scan says what it covered: the one buffered document, matched
+  // through one concrete tree.
+  for (const obs::TraceSpan& s : t.spans) {
+    if (s.name != "scan_unsealed") continue;
+    std::map<std::string, uint64_t> args(s.args.begin(), s.args.end());
+    ASSERT_EQ(args.count("scanned_docs"), 1u);
+    EXPECT_EQ(args["scanned_docs"], dyn.buffered_documents());
+    EXPECT_EQ(args["scanned_docs"], 1u);
+    EXPECT_EQ(args["trees"], 1u);
+  }
   // Each probe runs the regular executor attached to this trace, so every
   // segment contributes its own compile/match subtree under its probe span.
   EXPECT_EQ(matches, probes);
