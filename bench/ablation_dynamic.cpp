@@ -2,12 +2,14 @@
 //
 // The ViST lineage stresses dynamic maintenance; xseq's DynamicIndex
 // trades query cost (one probe per segment) for O(1) insertion into a
-// buffer. This measures that trade and what Compact() buys back, and what
+// buffer. This measures that trade and what Compact() buys back, what
 // queries and mutations pay for the unsealed buffer alone (brute-force scan
-// of up to flush_threshold documents, 1024 by default).
+// of up to flush_threshold documents, 1024 by default), and what sealing a
+// small buffer costs as the records in, and so the vocabulary, grow.
 
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -175,5 +177,42 @@ int main(int argc, char** argv) {
   }
   bench::Note("expected: per-query cost grows with the buffered documents "
               "the oracle scans; mutations stay flat");
+
+  // Seal: a serial pool seals inline, as each ShardedCollection shard
+  // does. Records load under a threshold nothing reaches and are compacted
+  // into one segment at each stop; then every round adds 32 fresh records
+  // (generated before the clock starts) and times the Flush() that seals
+  // them. The tables every segment holds grow with the records in.
+  constexpr int kSealRounds = 20;
+  constexpr DocId kSealBatch = 32;
+  std::printf("\n%-14s %10s %10s %14s\n", "records in", "names", "values",
+              "seal (us)");
+  DynamicOptions sealopts;
+  sealopts.index.threads = 1;
+  sealopts.flush_threshold = std::numeric_limits<size_t>::max();
+  DynamicIndex sealing(sealopts);
+  XMarkGenerator sgen(params, sealing.names(), sealing.values());
+  DocId next_record = 0;
+  for (DocId records : {DocId{1000}, DocId{5000}, DocId{20000}}) {
+    for (; next_record < records; ++next_record) {
+      if (!sealing.Add(sgen.Generate(next_record)).ok()) return 1;
+    }
+    if (!sealing.Compact().ok()) return 1;
+    double seal_us = 0;
+    for (int round = 0; round < kSealRounds; ++round) {
+      for (DocId i = 0; i < kSealBatch; ++i) {
+        if (!sealing.Add(sgen.Generate(next_record++)).ok()) return 1;
+      }
+      Clock::time_point t0 = Clock::now();
+      if (!sealing.Flush().ok()) return 1;
+      seal_us += us_since(t0);
+    }
+    std::printf("%-14llu %10zu %10zu %14.1f\n",
+                static_cast<unsigned long long>(records),
+                sealing.names()->size(), sealing.values()->size(),
+                seal_us / kSealRounds);
+  }
+  bench::Note("expected: a seal costs what its 32 records cost, whatever "
+              "the size of the vocabulary every segment shares");
   return 0;
 }

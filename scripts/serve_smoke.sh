@@ -293,11 +293,28 @@ echo "serve_smoke.sh: wire delete removed doc $VICTIM from the range answer"
 "$CLIENT" query --port="$MUT_PORT" --q='//age[. >= 90]' \
   | grep -q '^0 document' \
   || { echo "serve_smoke.sh: expected no docs with age >= 90" >&2; exit 1; }
+# The update also carries a <name> text no generated record has. It is
+# first interned when the update is parsed, after the shard's segments
+# sealed; they share that vocabulary, so they resolve the text too but hold
+# no path for it, and only the updated doc may answer it.
+LATE_Q="//person/name[.='late-literal-smoke']"
+late_answer_is() {
+  local out
+  out="$("$CLIENT" query --port="$MUT_PORT" --q="$LATE_Q" --verbose)"
+  [[ "$(echo "$out" | awk 'NR==1{print $1}')" == "$1" ]] || return 1
+  [[ "$1" == 0 ]] || echo "$out" | grep -qx "  doc $2"
+}
+late_answer_is 0 \
+  || { echo "serve_smoke.sh: late literal answered before the update" >&2
+       exit 1; }
 TARGET="$(echo "$AFTER_OUT" | awk '/^  doc /{print $2; exit}')"
 "$CLIENT" update --port="$MUT_PORT" --id="$TARGET" \
-  --xml='<person><profile><age>99</age></profile></person>' \
+  --xml='<person><name>late-literal-smoke</name><profile><age>99</age></profile></person>' \
   | grep -q 'updated, generation' \
   || { echo "serve_smoke.sh: update RPC failed" >&2; exit 1; }
+late_answer_is 1 "$TARGET" \
+  || { echo "serve_smoke.sh: late literal must answer exactly doc" \
+         "$TARGET after the update" >&2; exit 1; }
 UPDATED_OUT="$("$CLIENT" query --port="$MUT_PORT" --q='//age[. >= 90]' \
   --verbose)"
 echo "$UPDATED_OUT" | grep -qx "  doc $TARGET" || {
@@ -305,7 +322,8 @@ echo "$UPDATED_OUT" | grep -qx "  doc $TARGET" || {
   echo "$UPDATED_OUT" >&2
   exit 1
 }
-echo "serve_smoke.sh: wire update moved doc $TARGET into the range answer"
+echo "serve_smoke.sh: wire update moved doc $TARGET into the range answer" \
+  "and made it the only answer to a text interned after sealing"
 
 # Compaction purges the tombstones; every answer must be unchanged by it.
 "$CLIENT" compact --port="$MUT_PORT" | grep -q 'compacted, generation' \
@@ -324,6 +342,9 @@ echo "$POST_OUT" | grep -qx "  doc $VICTIM" && {
 "$CLIENT" query --port="$MUT_PORT" --q='//age[. >= 90]' \
   | grep -q '^1 document' \
   || { echo "serve_smoke.sh: updated doc lost after compaction" >&2; exit 1; }
+late_answer_is 1 "$TARGET" \
+  || { echo "serve_smoke.sh: late literal must answer exactly doc" \
+         "$TARGET after compaction" >&2; exit 1; }
 echo "serve_smoke.sh: compaction preserved every answer"
 
 kill -TERM "$MUT_PID"

@@ -30,19 +30,16 @@ void CollectValueEntries(const Node* n, PathId path, const Document& doc,
 }  // namespace
 
 CollectionBuilder::CollectionBuilder(IndexOptions options)
-    : options_(options),
-      names_(std::make_unique<NameTable>()),
-      values_(std::make_unique<ValueEncoder>(options.value_mode,
-                                             options.hash_range)),
-      dict_(std::make_unique<PathDict>()),
-      schema_(std::make_unique<Schema>()) {}
+    : CollectionBuilder(options, std::make_shared<NameTable>(),
+                        std::make_shared<ValueEncoder>(options.value_mode,
+                                                       options.hash_range)) {}
 
 CollectionBuilder::CollectionBuilder(IndexOptions options,
-                                     const NameTable& names,
-                                     const ValueEncoder& values)
+                                     std::shared_ptr<NameTable> names,
+                                     std::shared_ptr<ValueEncoder> values)
     : options_(options),
-      names_(std::make_unique<NameTable>(names)),
-      values_(std::make_unique<ValueEncoder>(values)),
+      names_(std::move(names)),
+      values_(std::move(values)),
       dict_(std::make_unique<PathDict>()),
       schema_(std::make_unique<Schema>()) {}
 

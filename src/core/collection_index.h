@@ -67,11 +67,13 @@ class CollectionBuilder {
  public:
   explicit CollectionBuilder(IndexOptions options = IndexOptions());
 
-  /// Starts from pre-populated vocabulary tables (copied), so documents
-  /// created against a shared global vocabulary keep their ids. Used by
-  /// DynamicIndex's segment builds.
-  CollectionBuilder(IndexOptions options, const NameTable& names,
-                    const ValueEncoder& values);
+  /// Builds over the caller's vocabulary tables, shared and not copied, so
+  /// documents parsed against them keep their ids and the built index reads
+  /// the same tables: names and values interned later are visible through
+  /// it. Building never reads the tables (only BoostPath and
+  /// BoostValuesUnder do). Used by DynamicIndex's segment builds.
+  CollectionBuilder(IndexOptions options, std::shared_ptr<NameTable> names,
+                    std::shared_ptr<ValueEncoder> values);
 
   /// Vocabulary tables to parse/generate documents against.
   NameTable* names() { return names_.get(); }
@@ -127,8 +129,8 @@ class CollectionBuilder {
   ThreadPool* BuildPool();
 
   IndexOptions options_;
-  std::unique_ptr<NameTable> names_;
-  std::unique_ptr<ValueEncoder> values_;
+  std::shared_ptr<NameTable> names_;
+  std::shared_ptr<ValueEncoder> values_;
   std::unique_ptr<PathDict> dict_;
   std::unique_ptr<Schema> schema_;
   std::vector<Document> retained_;
@@ -185,6 +187,8 @@ class CollectionIndex {
 
   const FrozenIndex& index() const { return index_; }
   const PathDict& dict() const { return *dict_; }
+  /// Vocabulary tables. A DynamicIndex segment shares its shard's, which
+  /// may hold names and values the segment never indexed.
   const NameTable& names() const { return *names_; }
   const ValueEncoder& values() const { return *values_; }
   const Sequencer& sequencer() const { return *sequencer_; }
@@ -213,8 +217,8 @@ class CollectionIndex {
 
   IndexOptions options_;
   FrozenIndex index_;
-  std::unique_ptr<NameTable> names_;
-  std::unique_ptr<ValueEncoder> values_;
+  std::shared_ptr<const NameTable> names_;
+  std::shared_ptr<const ValueEncoder> values_;
   std::unique_ptr<PathDict> dict_;
   std::unique_ptr<Schema> schema_;
   std::shared_ptr<const SequencingModel> model_;

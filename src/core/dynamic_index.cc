@@ -109,8 +109,8 @@ size_t DynamicIndex::UnsealedDocs::Erase(DocId id) {
 
 DynamicIndex::DynamicIndex(DynamicOptions options)
     : options_(options),
-      names_(std::make_unique<NameTable>()),
-      values_(std::make_unique<ValueEncoder>(options.index.value_mode,
+      names_(std::make_shared<NameTable>()),
+      values_(std::make_shared<ValueEncoder>(options.index.value_mode,
                                              options.index.hash_range)),
       pool_(std::make_unique<ThreadPool>(options.index.threads)) {
   // Segments must retain their documents so Compact() can re-sequence them
@@ -222,7 +222,7 @@ Status DynamicIndex::SealBufferLocked() {
     // Serial pool: build inline under the lock (the legacy path).
     Timer seal_timer;
     auto slot_ids = CountIds(buffer_.docs);
-    CollectionBuilder builder(options_.index, *names_, *values_);
+    CollectionBuilder builder(options_.index, names_, values_);
     for (Document& doc : buffer_.docs) {
       XSEQ_RETURN_IF_ERROR(builder.Add(std::move(doc)));
     }
@@ -248,8 +248,9 @@ Status DynamicIndex::SealBufferLocked() {
 
   // Move the buffer, dictionary included, into an in-flight batch, reserve
   // its slot in segments_ (so ordering and segment_count are fixed now),
-  // and build off this thread. The builder copies the vocabulary tables, so
-  // it must be constructed here, under the lock, not in the task.
+  // and build off this thread. The task takes no lock until it publishes:
+  // it reads only the batch's documents, and its builder holds the shared
+  // vocabulary tables without reading them.
   auto batch =
       std::make_shared<SealBatch>(std::move(buffer_), segments_.size());
   buffer_ = UnsealedDocs();
@@ -262,18 +263,17 @@ Status DynamicIndex::SealBufferLocked() {
     m.buffered_docs->Set(0);
     m.pending_seals->Set(pending_seals_);
   }
-  auto builder = std::make_shared<CollectionBuilder>(options_.index, *names_,
-                                                     *values_);
-  pool_->Submit([this, batch, builder] {
+  pool_->Submit([this, batch] {
     Timer seal_timer;
+    CollectionBuilder builder(options_.index, names_, values_);
     Status st;
     for (const Document& doc : batch->docs()) {
-      st = builder->Add(CloneDocument(doc));
+      st = builder.Add(CloneDocument(doc));
       if (!st.ok()) break;
     }
     std::shared_ptr<const CollectionIndex> built;
     if (st.ok()) {
-      auto segment = std::move(*builder).Finish();
+      auto segment = std::move(builder).Finish();
       if (segment.ok()) {
         built =
             std::make_shared<const CollectionIndex>(std::move(*segment));
@@ -329,7 +329,7 @@ Status DynamicIndex::Compact() {
   WaitForSealsLocked(&lock);
   XSEQ_RETURN_IF_ERROR(TakeSealErrorLocked());
   ++generation_;
-  CollectionBuilder builder(options_.index, *names_, *values_);
+  CollectionBuilder builder(options_.index, names_, values_);
   auto merged_ids = std::make_shared<std::unordered_map<DocId, uint32_t>>();
   // Tombstoned documents are purged here: they are simply not fed to the
   // rebuild, so the merged segment starts with an empty tombstone set.
@@ -386,6 +386,7 @@ Status DynamicIndex::SaveCompacted(const std::string& path,
   // Snapshot the shared_ptr under the lock and write outside it, so
   // queries and further mutations proceed while the file lands; the
   // snapshot is immutable, so a concurrent Add simply isn't in this image.
+  // Its vocabulary is the shared tables, which the save reads like a query.
   std::shared_ptr<const CollectionIndex> merged;
   {
     std::unique_lock<std::mutex> lock(mu_);

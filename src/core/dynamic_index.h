@@ -18,9 +18,13 @@
 //  * Compact() rebuilds everything into one segment under the current
 //    global statistics (better sharing, one probe per query).
 //
-// Name and value tables are shared across segments so those ids remain
-// globally consistent; each segment interns its own path dictionary
-// (PathIds are segment-local, consistent with the segment's own trie).
+// The index owns one NameTable and one ValueEncoder, and every segment
+// holds those same tables, not a copy, so name and value ids are
+// consistent across segments and a seal or Compact() allocates no
+// vocabulary. A segment's table may therefore resolve names and values
+// interned after it sealed; its trie has no path for them, so they match
+// nothing there. Each segment interns its own path dictionary (PathIds are
+// segment-local, consistent with the segment's own trie).
 //
 // Threading: the index is internally synchronized — Add/Flush/Query/
 // QueryBatch may race freely from many threads. With a pool of width > 1
@@ -29,9 +33,12 @@
 // publishes it. Queries arriving in between scan the in-flight batch
 // brute-force, so answers never miss documents. Flush() triggers a seal
 // without waiting; Compact() and TotalIndexNodes() drain pending seals
-// first. The one rule callers keep: documents handed to Add() must already
-// be fully parsed/generated — the shared NameTable/ValueEncoder are not
-// internally synchronized against concurrent interning during queries.
+// first. The one rule callers keep: nothing interns into names()/values()
+// while the index is read. Queries (buffer scans and sealed segments
+// alike) and SaveCompacted() read the shared tables, which are not
+// internally synchronized, so parse or generate documents under a lock
+// that excludes them, or before they start. Seals and Compact() never
+// read the tables, so they may run while a writer interns.
 
 #ifndef XSEQ_SRC_CORE_DYNAMIC_INDEX_H_
 #define XSEQ_SRC_CORE_DYNAMIC_INDEX_H_
@@ -64,7 +71,7 @@ class DynamicIndex {
   explicit DynamicIndex(DynamicOptions options = DynamicOptions());
   ~DynamicIndex();
 
-  /// Vocabulary to parse/generate against (shared by all segments).
+  /// Vocabulary to parse/generate against (held by every segment too).
   NameTable* names() { return names_.get(); }
   ValueEncoder* values() { return values_.get(); }
 
@@ -100,7 +107,8 @@ class DynamicIndex {
   /// LoadCollectionIndex reads back — the dynamic history (segments,
   /// buffer) is not preserved, only the answer set. Compaction bumps the
   /// generation, so cached results are invalidated as a side effect.
-  /// Queries may race freely with this call.
+  /// Queries may race freely with this call; interning may not, since the
+  /// image's vocabulary sections are the shared tables as they stand.
   Status SaveCompacted(const std::string& path,
                        const PersistOptions& persist = {});
 
@@ -231,8 +239,9 @@ class DynamicIndex {
                   std::vector<DocId>* out, uint64_t* trees) const;
 
   DynamicOptions options_;
-  std::unique_ptr<NameTable> names_;
-  std::unique_ptr<ValueEncoder> values_;
+  /// Shared with every segment's CollectionIndex; never reassigned.
+  std::shared_ptr<NameTable> names_;
+  std::shared_ptr<ValueEncoder> values_;
   std::unique_ptr<ThreadPool> pool_;
 
   /// Reusable match scratch shared by all queries (leases are per query /

@@ -212,14 +212,14 @@ StatusOr<CollectionIndex> DecodeCollectionIndex(std::string_view data) {
     auto names = NameTable::DecodeFrom(&d);
     if (!names.ok()) return AnnotateSection("names", names.status());
     XSEQ_RETURN_IF_ERROR(finish_section("names", &d));
-    out.names_ = std::make_unique<NameTable>(std::move(*names));
+    out.names_ = std::make_shared<const NameTable>(std::move(*names));
   }
   {
     Decoder d(sections[2]);
     auto values = ValueEncoder::DecodeFrom(&d);
     if (!values.ok()) return AnnotateSection("values", values.status());
     XSEQ_RETURN_IF_ERROR(finish_section("values", &d));
-    out.values_ = std::make_unique<ValueEncoder>(std::move(*values));
+    out.values_ = std::make_shared<const ValueEncoder>(std::move(*values));
     out.options_.value_mode = out.values_->mode();
     out.options_.hash_range = out.values_->hash_range();
   }

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <map>
+#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -454,6 +455,133 @@ TEST(DynamicConcurrency, QueriesRaceBufferedUpdatesAndDeletes) {
     nonempty += !want->docs.empty();
   }
   EXPECT_EQ(nonempty, texts.size());
+}
+
+TEST(DynamicConcurrency, WriterInternsWhileSegmentsShareTables) {
+  // xseq_serve's discipline: the writer parses each document, interning its
+  // new names and values, under an exclusive lock that queries share, and
+  // mutates the index outside it. Seals on the 4-wide pool and a Compact()
+  // from another thread take no vocabulary lock, so a seal or compaction
+  // that read the tables every segment shares would race the interning.
+  DynamicOptions opts;
+  opts.index.threads = 4;
+  opts.flush_threshold = 8;
+  DynamicIndex dyn(opts);
+  std::shared_mutex vocab_mu;
+
+  // Every version of a document brings an element name and a value text
+  // that no earlier document carried.
+  auto xml = [](DocId id, int step) {
+    std::string tag = "e";
+    tag += std::to_string(id) + "_" + std::to_string(step);
+    std::string out = "<a><b>";
+    out += std::to_string(step % 50) + "</b><" + tag + "><c>t" +
+           std::to_string(step) + "</c></" + tag + "></a>";
+    return out;
+  };
+  const std::vector<std::string> texts = {
+      "//b",         "/a/*/c",         "/a/b[. < 25]", "//c[. != 't3']",
+      "//e3_3",      "/a/e40_61/c",    "//*[c='t90']", "/a/b[.='7']"};
+
+  constexpr int kSteps = 200;
+  std::atomic<int> step_reached{0};
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::atomic<uint64_t> reads{0};
+  // glibc's std::shared_mutex prefers readers, so readers that never pause
+  // would starve the writer; they step aside while it waits.
+  std::atomic<bool> writer_waiting{false};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      size_t i = static_cast<size_t>(t);
+      while (!done.load()) {
+        if (writer_waiting.load()) {
+          std::this_thread::yield();
+          continue;
+        }
+        std::shared_lock<std::shared_mutex> lock(vocab_mu);
+        if (!dyn.Query(texts[i % texts.size()]).ok()) failures.fetch_add(1);
+        reads.fetch_add(1);
+        ++i;
+      }
+    });
+  }
+  std::thread compactor([&] {
+    while (step_reached.load() < kSteps / 2) std::this_thread::yield();
+    if (!dyn.Compact().ok()) failures.fetch_add(1);
+  });
+
+  std::map<DocId, std::string> live;
+  Rng rng(97, 13);
+  DocId next_id = 0;
+  for (int step = 0; step < kSteps; ++step) {
+    const uint32_t roll = rng.Uniform(10);
+    Status st;
+    if (roll < 6 || live.empty()) {
+      const DocId id = roll < 4 || live.empty()
+                           ? next_id++
+                           : next_id - 1 - rng.Uniform(next_id);
+      const std::string text = xml(id, step);
+      StatusOr<Document> doc = Status::Internal("not parsed");
+      {
+        writer_waiting.store(true);
+        std::unique_lock<std::shared_mutex> lock(vocab_mu);
+        writer_waiting.store(false);
+        XmlParser parser(dyn.names(), dyn.values());
+        doc = parser.Parse(text, id);
+      }
+      if (!doc.ok()) {
+        st = doc.status();
+      } else {
+        st = live.count(id) != 0 ? dyn.Update(std::move(*doc), id)
+                                 : dyn.Add(std::move(*doc));
+      }
+      live[id] = text;
+    } else {
+      const DocId id = next_id - 1 - rng.Uniform(next_id);
+      st = dyn.Delete(id);
+      live.erase(id);
+    }
+    if (!st.ok()) {
+      ADD_FAILURE() << "step " << step << ": " << st.ToString();
+      break;  // the other threads must still be joined
+    }
+    step_reached.store(step + 1);
+    // Let a read in between mutations, so the two interleave on any host.
+    const uint64_t seen = reads.load();
+    while (reads.load() == seen) std::this_thread::yield();
+  }
+  step_reached.store(kSteps);
+  compactor.join();
+  done.store(true);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(dyn.total_documents(), live.size());
+
+  // Once quiescent, every text equals a fresh serial index over the
+  // surviving documents, parsed against its own tables.
+  IndexOptions ref_opts;
+  ref_opts.threads = 1;
+  CollectionBuilder ref_builder(ref_opts);
+  XmlParser ref_parser(ref_builder.names(), ref_builder.values());
+  for (const auto& [id, text] : live) {
+    auto doc = ref_parser.Parse(text, id);
+    ASSERT_TRUE(doc.ok());
+    ASSERT_TRUE(ref_builder.Add(std::move(*doc)).ok());
+  }
+  auto ref = std::move(ref_builder).Finish();
+  ASSERT_TRUE(ref.ok());
+  size_t nonempty = 0;
+  for (const std::string& text : texts) {
+    auto want = ref->Query(text);
+    auto got = dyn.Query(text);
+    ASSERT_TRUE(want.ok()) << text << ": " << want.status().ToString();
+    ASSERT_TRUE(got.ok()) << text << ": " << got.status().ToString();
+    EXPECT_EQ(*got, want->docs) << text;
+    nonempty += !want->docs.empty();
+  }
+  EXPECT_GE(nonempty, texts.size() / 2);
 }
 
 TEST(DynamicConcurrency, CompactDrainsPendingSeals) {

@@ -72,6 +72,42 @@ TEST(CollectionBuilder, EmptyDocumentRejected) {
   EXPECT_TRUE(b.Add(std::move(empty)).IsInvalidArgument());
 }
 
+// DynamicIndex builds every segment over its own tables and relies on this
+// contract: the built index holds those very tables, so a name or value the
+// next document interns resolves through segments built before it.
+TEST(CollectionBuilder, SharedTablesReachTheBuiltIndex) {
+  auto names = std::make_shared<NameTable>();
+  auto values = std::make_shared<ValueEncoder>();
+  CollectionBuilder builder(IndexOptions(), names, values);
+  EXPECT_EQ(builder.names(), names.get());
+  EXPECT_EQ(builder.values(), values.get());
+  ASSERT_TRUE(builder
+                  .Add(testing::MakeDoc("P(R('x'))", names.get(),
+                                        values.get(), 0))
+                  .ok());
+  auto index = std::move(builder).Finish();
+  ASSERT_TRUE(index.ok());
+  EXPECT_EQ(&index->names(), names.get());
+  EXPECT_EQ(&index->values(), values.get());
+
+  EXPECT_EQ(index->names().Find("late"), Interner::kInvalidId);
+  EXPECT_EQ(index->values().EncodeForLookup("late text"),
+            Interner::kInvalidId);
+  const NameId late_name = names->Intern("late");
+  const ValueId late_value = values->Encode("late text");
+  EXPECT_EQ(index->names().Find("late"), late_name);
+  EXPECT_EQ(index->values().EncodeForLookup("late text"), late_value);
+  // The index resolves both now but holds no path for either.
+  for (const char* text : {"/P/late", "//late", "/P/R[.='late text']"}) {
+    auto r = index->Query(text);
+    ASSERT_TRUE(r.ok()) << text << ": " << r.status().ToString();
+    EXPECT_TRUE(r->docs.empty()) << text;
+  }
+  auto r = index->Query("/P/R[.='x']");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->docs, (std::vector<DocId>{0}));
+}
+
 TEST(CollectionIndex, StatsReflectSharing) {
   // Identical documents share the whole trie path.
   CollectionIndex idx =

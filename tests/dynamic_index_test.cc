@@ -237,5 +237,69 @@ INSTANTIATE_TEST_SUITE_P(AllModes, DynamicBufferDictTest,
                                            ValueMode::kHashed,
                                            ValueMode::kCharSequence));
 
+// Every segment holds its index's own vocabulary tables, so once a literal
+// is first interned the older segments resolve it too, though their tries
+// hold no path for it. An element name and an exact text first seen after
+// two segments sealed must answer exactly the live documents carrying them
+// while buffered, while sealing on the pool, sealed, after a delete and
+// after Compact(). Each text runs once before the literals exist, so the
+// plan cache holds the old segments' plans from then on.
+class DynamicLateLiteralTest : public ::testing::TestWithParam<ValueMode> {};
+
+TEST_P(DynamicLateLiteralTest, LateLiteralsAnswerExactlyTheirDocuments) {
+  DynamicOptions opts;
+  opts.index.threads = 4;  // seals run on the pool
+  opts.index.value_mode = GetParam();
+  opts.flush_threshold = 100;  // only explicit seals
+  DynamicIndex dyn(opts);
+  auto make = [&dyn](const std::string& spec, DocId id) {
+    return testing::MakeDoc(spec, dyn.names(), dyn.values(), id);
+  };
+  for (DocId id = 0; id < 6; ++id) {
+    const std::string old = "old" + std::to_string(id % 3);
+    ASSERT_TRUE(dyn.Add(make("a(b('" + old + "'),c('x'))", id)).ok());
+    if (id % 3 == 2) {
+      ASSERT_TRUE(dyn.Flush().ok());
+    }
+  }
+  dyn.TotalIndexNodes();  // waits for both seals
+  ASSERT_EQ(dyn.segment_count(), 2u);
+
+  const std::vector<std::string> texts = {"/a/b[.='late text']", "//late",
+                                          "/a/late/c", "//late[c='y']"};
+  auto expect = [&dyn, &texts](const std::vector<DocId>& want,
+                               const char* stage) {
+    for (const std::string& text : texts) {
+      auto got = dyn.Query(text);
+      ASSERT_TRUE(got.ok()) << stage << ", " << text << ": "
+                            << got.status().ToString();
+      EXPECT_EQ(*got, want) << stage << ", " << text;
+    }
+  };
+  expect({}, "before the literals exist");
+  ASSERT_EQ(dyn.names()->Find("late"), Interner::kInvalidId);
+
+  const std::string late = "a(b('late text'),late(c('y')))";
+  ASSERT_TRUE(dyn.Add(make(late, 10)).ok());
+  ASSERT_NE(dyn.names()->Find("late"), Interner::kInvalidId);
+  expect({10}, "buffered");
+  ASSERT_TRUE(dyn.Flush().ok());
+  expect({10}, "sealing");
+  dyn.TotalIndexNodes();
+  expect({10}, "sealed");
+  ASSERT_TRUE(dyn.Add(make(late, 11)).ok());
+  expect({10, 11}, "sealed and buffered");
+  ASSERT_TRUE(dyn.Delete(10).ok());
+  expect({11}, "after a delete");
+  ASSERT_TRUE(dyn.Compact().ok());
+  EXPECT_EQ(dyn.segment_count(), 1u);
+  expect({11}, "compacted");
+}
+
+INSTANTIATE_TEST_SUITE_P(AllModes, DynamicLateLiteralTest,
+                         ::testing::Values(ValueMode::kExact,
+                                           ValueMode::kHashed,
+                                           ValueMode::kCharSequence));
+
 }  // namespace
 }  // namespace xseq
