@@ -13,7 +13,7 @@ namespace xseq {
 namespace {
 
 /// Registry handles for the LSM-side metrics, resolved once. Gauges mirror
-/// the live buffer depth and in-flight background seals.
+/// the live buffer depth and the tombstones awaiting purge.
 struct DynMetricSet {
   obs::Counter* adds;
   obs::Counter* deletes;
@@ -23,7 +23,6 @@ struct DynMetricSet {
   obs::Counter* compactions;
   obs::Histogram* seal_us;
   obs::Histogram* compact_us;
-  obs::Gauge* pending_seals;
   obs::Gauge* buffered_docs;
   obs::Gauge* tombstoned_docs;
 };
@@ -39,14 +38,13 @@ const DynMetricSet& DynMetrics() {
                         r->GetCounter("xseq.dynamic.compactions"),
                         r->GetHistogram("xseq.dynamic.seal_us"),
                         r->GetHistogram("xseq.dynamic.compact_us"),
-                        r->GetGauge("xseq.dynamic.pending_seals"),
                         r->GetGauge("xseq.dynamic.buffered_docs"),
                         r->GetGauge("xseq.dynamic.tombstoned_docs")};
   }();
   return s;
 }
 
-/// Strips tombstoned ids from one source's result ids in place.
+/// Strips tombstoned ids from one segment's result ids in place.
 void RemoveDeadIds(const std::unordered_set<DocId>* dead,
                    std::vector<DocId>* ids) {
   if (dead == nullptr || dead->empty() || ids->empty()) return;
@@ -55,7 +53,7 @@ void RemoveDeadIds(const std::unordered_set<DocId>* dead,
              ids->end());
 }
 
-/// Id histogram of a document batch, fixed at slot-reservation time.
+/// Id histogram of the documents sealed into one slot.
 std::shared_ptr<const std::unordered_map<DocId, uint32_t>> CountIds(
     const std::vector<Document>& docs) {
   auto ids = std::make_shared<std::unordered_map<DocId, uint32_t>>();
@@ -118,17 +116,11 @@ DynamicIndex::DynamicIndex(DynamicOptions options)
   options_.index.keep_documents = true;
 }
 
-DynamicIndex::~DynamicIndex() {
-  std::unique_lock<std::mutex> lock(mu_);
-  WaitForSealsLocked(&lock);
-}
-
 Status DynamicIndex::Add(Document&& doc) {
   if (doc.root() == nullptr) {
     return Status::InvalidArgument("document has no root");
   }
-  std::unique_lock<std::mutex> lock(mu_);
-  XSEQ_RETURN_IF_ERROR(TakeSealErrorLocked());
+  std::lock_guard<std::mutex> lock(mu_);
   buffer_.docs.push_back(std::move(doc));
   ++total_docs_;
   ++generation_;
@@ -167,8 +159,7 @@ uint64_t DynamicIndex::RemoveLocked(DocId id) {
 }
 
 Status DynamicIndex::Delete(DocId id) {
-  std::unique_lock<std::mutex> lock(mu_);
-  XSEQ_RETURN_IF_ERROR(TakeSealErrorLocked());
+  std::lock_guard<std::mutex> lock(mu_);
   RemoveLocked(id);
   ++generation_;
   if (obs::MetricsEnabled()) {
@@ -188,8 +179,7 @@ Status DynamicIndex::Update(Document&& doc, DocId id) {
         "replacement document carries id " + std::to_string(doc.id()) +
         ", expected " + std::to_string(id));
   }
-  std::unique_lock<std::mutex> lock(mu_);
-  XSEQ_RETURN_IF_ERROR(TakeSealErrorLocked());
+  std::lock_guard<std::mutex> lock(mu_);
   RemoveLocked(id);
   buffer_.docs.push_back(std::move(doc));
   ++total_docs_;
@@ -206,9 +196,8 @@ Status DynamicIndex::Update(Document&& doc, DocId id) {
 }
 
 Status DynamicIndex::Flush() {
-  std::unique_lock<std::mutex> lock(mu_);
-  XSEQ_RETURN_IF_ERROR(TakeSealErrorLocked());
-  // Sealing re-sequences the batch under the segment's own model, so be
+  std::lock_guard<std::mutex> lock(mu_);
+  // Sealing re-sequences the buffer under the segment's own model, so be
   // conservative and retire cached results even though the document set is
   // unchanged.
   ++generation_;
@@ -217,139 +206,43 @@ Status DynamicIndex::Flush() {
 
 Status DynamicIndex::SealBufferLocked() {
   if (buffer_.docs.empty()) return Status::OK();
-  const bool metrics = obs::MetricsEnabled();
-  if (pool_->width() <= 1) {
-    // Serial pool: build inline under the lock (the legacy path).
-    Timer seal_timer;
-    auto slot_ids = CountIds(buffer_.docs);
-    CollectionBuilder builder(options_.index, names_, values_);
-    for (Document& doc : buffer_.docs) {
-      XSEQ_RETURN_IF_ERROR(builder.Add(std::move(doc)));
-    }
-    buffer_ = UnsealedDocs();
-    auto segment = std::move(builder).Finish();
-    if (metrics) {
-      const DynMetricSet& m = DynMetrics();
-      m.buffered_docs->Set(0);
-      if (segment.ok()) {
-        m.seals->Increment();
-        m.seal_us->Record(
-            static_cast<uint64_t>(seal_timer.ElapsedMicros()));
-      } else {
-        m.seal_failures->Increment();
-      }
-    }
-    if (!segment.ok()) return segment.status();
-    segments_.push_back(
-        std::make_shared<const CollectionIndex>(std::move(*segment)));
-    slot_state_.push_back({std::move(slot_ids), nullptr});
-    return Status::OK();
+  Timer seal_timer;
+  auto slot_ids = CountIds(buffer_.docs);
+  CollectionBuilder builder(options_.index, names_, values_);
+  for (Document& doc : buffer_.docs) {
+    XSEQ_RETURN_IF_ERROR(builder.Add(std::move(doc)));
   }
-
-  // Move the buffer, dictionary included, into an in-flight batch, reserve
-  // its slot in segments_ (so ordering and segment_count are fixed now),
-  // and build off this thread. The task takes no lock until it publishes:
-  // it reads only the batch's documents, and its builder holds the shared
-  // vocabulary tables without reading them.
-  auto batch =
-      std::make_shared<SealBatch>(std::move(buffer_), segments_.size());
   buffer_ = UnsealedDocs();
-  segments_.push_back(nullptr);
-  slot_state_.push_back({CountIds(batch->docs()), nullptr});
-  sealing_.push_back(batch);
-  ++pending_seals_;
-  if (metrics) {
+  auto segment = std::move(builder).Finish();
+  if (obs::MetricsEnabled()) {
     const DynMetricSet& m = DynMetrics();
     m.buffered_docs->Set(0);
-    m.pending_seals->Set(pending_seals_);
+    if (segment.ok()) {
+      m.seals->Increment();
+      m.seal_us->Record(static_cast<uint64_t>(seal_timer.ElapsedMicros()));
+    } else {
+      m.seal_failures->Increment();
+    }
   }
-  pool_->Submit([this, batch] {
-    Timer seal_timer;
-    CollectionBuilder builder(options_.index, names_, values_);
-    Status st;
-    for (const Document& doc : batch->docs()) {
-      st = builder.Add(CloneDocument(doc));
-      if (!st.ok()) break;
-    }
-    std::shared_ptr<const CollectionIndex> built;
-    if (st.ok()) {
-      auto segment = std::move(builder).Finish();
-      if (segment.ok()) {
-        built =
-            std::make_shared<const CollectionIndex>(std::move(*segment));
-      } else {
-        st = segment.status();
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (built != nullptr) {
-        segments_[batch->slot()] = std::move(built);
-        sealing_.erase(std::find(sealing_.begin(), sealing_.end(), batch));
-      } else {
-        // Keep the batch in sealing_ so its documents stay queryable (and
-        // reachable by a later Compact()); surface the error on the next
-        // mutating call.
-        if (seal_error_.ok()) seal_error_ = st;
-      }
-      --pending_seals_;
-      if (obs::MetricsEnabled()) {
-        const DynMetricSet& m = DynMetrics();
-        m.pending_seals->Set(pending_seals_);
-        if (built != nullptr) {
-          m.seals->Increment();
-          m.seal_us->Record(
-              static_cast<uint64_t>(seal_timer.ElapsedMicros()));
-        } else {
-          m.seal_failures->Increment();
-        }
-      }
-      // Notify under the lock: a drained waiter (e.g. the destructor) may
-      // destroy the condition variable the moment it re-acquires mu_.
-      seal_cv_.notify_all();
-    }
-  });
+  if (!segment.ok()) return segment.status();
+  segments_.push_back(
+      std::make_shared<const CollectionIndex>(std::move(*segment)));
+  slot_state_.push_back({std::move(slot_ids), nullptr});
   return Status::OK();
-}
-
-void DynamicIndex::WaitForSealsLocked(std::unique_lock<std::mutex>* lock)
-    const {
-  seal_cv_.wait(*lock, [this] { return pending_seals_ == 0; });
-}
-
-Status DynamicIndex::TakeSealErrorLocked() {
-  Status st = seal_error_;
-  seal_error_ = Status::OK();
-  return st;
 }
 
 Status DynamicIndex::Compact() {
   Timer compact_timer;
-  std::unique_lock<std::mutex> lock(mu_);
-  WaitForSealsLocked(&lock);
-  XSEQ_RETURN_IF_ERROR(TakeSealErrorLocked());
+  std::lock_guard<std::mutex> lock(mu_);
   ++generation_;
   CollectionBuilder builder(options_.index, names_, values_);
   auto merged_ids = std::make_shared<std::unordered_map<DocId, uint32_t>>();
   // Tombstoned documents are purged here: they are simply not fed to the
   // rebuild, so the merged segment starts with an empty tombstone set.
-  auto alive = [this](size_t slot, const Document& doc) {
-    const auto& dead = slot_state_[slot].dead;
-    return dead == nullptr || dead->count(doc.id()) == 0;
-  };
   for (size_t i = 0; i < segments_.size(); ++i) {
-    if (segments_[i] == nullptr) continue;
+    const auto& dead = slot_state_[i].dead;
     for (const Document& doc : segments_[i]->documents()) {
-      if (!alive(i, doc)) continue;
-      ++(*merged_ids)[doc.id()];
-      XSEQ_RETURN_IF_ERROR(builder.Add(CloneDocument(doc)));
-    }
-  }
-  // Batches whose background build failed (they are the only entries left
-  // once pending_seals_ == 0) still hold their documents; fold them in.
-  for (const auto& batch : sealing_) {
-    for (const Document& doc : batch->docs()) {
-      if (!alive(batch->slot(), doc)) continue;
+      if (dead != nullptr && dead->count(doc.id()) != 0) continue;
       ++(*merged_ids)[doc.id()];
       XSEQ_RETURN_IF_ERROR(builder.Add(CloneDocument(doc)));
     }
@@ -363,7 +256,6 @@ Status DynamicIndex::Compact() {
   if (!merged.ok()) return merged.status();
   segments_.clear();
   slot_state_.clear();
-  sealing_.clear();
   tombstoned_docs_ = 0;
   segments_.push_back(
       std::make_shared<const CollectionIndex>(std::move(*merged)));
@@ -389,11 +281,8 @@ Status DynamicIndex::SaveCompacted(const std::string& path,
   // Its vocabulary is the shared tables, which the save reads like a query.
   std::shared_ptr<const CollectionIndex> merged;
   {
-    std::unique_lock<std::mutex> lock(mu_);
-    WaitForSealsLocked(&lock);
-    if (!segments_.empty() && segments_.front() != nullptr) {
-      merged = segments_.front();
-    }
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!segments_.empty()) merged = segments_.front();
   }
   if (merged == nullptr) {
     return Status::Internal("compaction left no segment to save");
@@ -412,19 +301,11 @@ StatusOr<std::vector<DocId>> DynamicIndex::Query(
   return ExecutePattern(*pattern, opts);
 }
 
-StatusOr<std::vector<DocId>> DynamicIndex::ExecutePattern(
-    const xseq::QueryPattern& pattern, const ExecOptions& options,
-    ExecStats* stats) const {
-  return ExecutePatternImpl(pattern, options, stats,
-                            /*parallel_segments=*/true);
-}
-
-Status DynamicIndex::ScanDocs(const UnsealedDocs& unsealed,
-                              const xseq::QueryPattern& pattern,
-                              const ExecOptions& options,
-                              const std::unordered_set<DocId>* dead,
-                              std::vector<DocId>* out, uint64_t* trees) const {
-  if (unsealed.docs.empty()) return Status::OK();
+Status DynamicIndex::ScanBufferLocked(const xseq::QueryPattern& pattern,
+                                      const ExecOptions& options,
+                                      std::vector<DocId>* out,
+                                      uint64_t* trees) const {
+  if (buffer_.docs.empty()) return Status::OK();
   // Comparison predicates: scan the skeleton, then keep only ids whose
   // document satisfies every comparison — the unsealed-data twin of the
   // value-index probe the sealed segments run.
@@ -436,16 +317,16 @@ Status DynamicIndex::ScanDocs(const UnsealedDocs& unsealed,
     effective = &skeleton;
   }
   // Brute-force scan via the oracle, instantiating the pattern against the
-  // documents' own dictionary, which the caller has synced: it interns
+  // buffer's own dictionary, which the caller has synced: it interns
   // exactly the scanned documents (chain-expanded copies in char-sequence
   // mode).
-  auto inst = InstantiatePattern(*effective, unsealed.dict, *names_,
+  auto inst = InstantiatePattern(*effective, buffer_.dict, *names_,
                                  *values_, options.instantiate);
   if (!inst.ok()) return inst.status();
   *trees += inst->queries.size();
   std::vector<DocId> part;
   for (const ConcreteQuery& cq : inst->queries) {
-    std::vector<DocId> one = OracleScan(unsealed.scanned(), cq);
+    std::vector<DocId> one = OracleScan(buffer_.scanned(), cq);
     part.insert(part.end(), one.begin(), one.end());
   }
   if (!cmps.empty() && !part.empty()) {
@@ -453,7 +334,7 @@ Status DynamicIndex::ScanDocs(const UnsealedDocs& unsealed,
     // raw text in every value mode, so ordering stays exact even when the
     // index hashes or chain-encodes values.
     std::unordered_set<DocId> satisfying;
-    for (const Document& doc : unsealed.docs) {
+    for (const Document& doc : buffer_.docs) {
       if (DocMatchesComparisons(doc, *names_, cmps)) {
         satisfying.insert(doc.id());
       }
@@ -464,16 +345,15 @@ Status DynamicIndex::ScanDocs(const UnsealedDocs& unsealed,
                               }),
                part.end());
   }
-  RemoveDeadIds(dead, &part);
   out->insert(out->end(), part.begin(), part.end());
   return Status::OK();
 }
 
-StatusOr<std::vector<DocId>> DynamicIndex::ExecutePatternImpl(
+StatusOr<std::vector<DocId>> DynamicIndex::ExecutePattern(
     const xseq::QueryPattern& pattern, const ExecOptions& options,
-    ExecStats* stats, bool parallel_segments) const {
+    ExecStats* stats) const {
   // Tracing: a dynamic query owns the trace so the per-segment probes (and
-  // the unsealed-data scans) appear as siblings under one root. The options
+  // the buffer scan) appear as siblings under one root. The options
   // copy handed to segment executors carries the builder, never the tracer,
   // so the nested executors attach instead of committing traces of their
   // own.
@@ -498,51 +378,27 @@ StatusOr<std::vector<DocId>> DynamicIndex::ExecutePatternImpl(
   std::vector<DocId> out;
   std::vector<std::shared_ptr<const CollectionIndex>> segments;
   std::vector<std::shared_ptr<const std::unordered_set<DocId>>> seg_dead;
-  std::vector<std::shared_ptr<const SealBatch>> batches;
-  std::vector<std::shared_ptr<const std::unordered_set<DocId>>> batch_dead;
   {
     obs::SpanScope scan_span(opts.trace, "scan_unsealed", root_span);
-    uint64_t scanned_docs = 0;
     uint64_t trees = 0;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      segments.reserve(segments_.size());
-      for (size_t i = 0; i < segments_.size(); ++i) {
-        if (segments_[i] != nullptr) {
-          segments.push_back(segments_[i]);
-          seg_dead.push_back(slot_state_[i].dead);
-        }
-      }
-      batches = sealing_;
-      for (const auto& batch : batches) {
-        batch_dead.push_back(slot_state_[batch->slot()].dead);
-      }
-      // The live buffer mutates under Add(), so it is scanned while the lock
-      // is held. Everything snapshotted above is immutable (tombstone sets
-      // are copy-on-write, and a batch syncs its dictionary once, under its
-      // own flag); a batch that lands as a segment mid-query was
-      // excluded from `segments`, so no document is counted twice. Deletes
-      // erase from the buffer outright, so its scan needs no filter. The
-      // scan first catches the buffer's dictionary up with the mutations
-      // since the last query.
-      buffer_.Sync(values_->mode());
-      XSEQ_RETURN_IF_ERROR(
-          ScanDocs(buffer_, pattern, opts, nullptr, &out, &trees));
-      scanned_docs = buffer_.docs.size();
-    }
-    for (size_t i = 0; i < batches.size(); ++i) {
-      XSEQ_RETURN_IF_ERROR(ScanDocs(batches[i]->Synced(values_->mode()),
-                                    pattern, opts, batch_dead[i].get(), &out,
-                                    &trees));
-      scanned_docs += batches[i]->docs().size();
-    }
-    scan_span.Annotate("sealing_batches", batches.size());
-    scan_span.Annotate("scanned_docs", scanned_docs);
+    // The buffer mutates under Add(), so it is scanned while the lock is
+    // held. The segments and tombstone sets snapshotted with it are
+    // immutable (tombstone sets are copy-on-write), so they are probed
+    // outside it. Deletes erase from the buffer outright, so its scan needs
+    // no filter. The scan first catches the buffer's dictionary up with the
+    // mutations since the last query.
+    std::lock_guard<std::mutex> lock(mu_);
+    segments = segments_;
+    seg_dead.reserve(slot_state_.size());
+    for (const SlotState& slot : slot_state_) seg_dead.push_back(slot.dead);
+    buffer_.Sync(values_->mode());
+    XSEQ_RETURN_IF_ERROR(ScanBufferLocked(pattern, opts, &out, &trees));
+    scan_span.Annotate("scanned_docs", buffer_.docs.size());
     scan_span.Annotate("trees", trees);
     scan_span.Annotate("docs", out.size());
   }
 
-  if (parallel_segments && pool_->width() > 1 && segments.size() > 1) {
+  if (pool_->width() > 1 && segments.size() > 1) {
     const size_t k = segments.size();
     std::vector<std::vector<DocId>> parts(k);
     std::vector<ExecStats> part_stats(k);
@@ -595,30 +451,6 @@ StatusOr<std::vector<DocId>> DynamicIndex::ExecutePatternImpl(
   return out;
 }
 
-std::vector<StatusOr<std::vector<DocId>>> DynamicIndex::QueryBatch(
-    const std::vector<std::string>& xpaths,
-    const ExecOptions& options) const {
-  std::vector<StatusOr<std::vector<DocId>>> out(
-      xpaths.size(), Status::Internal("query was not executed"));
-  ExecOptions per_query = options;
-  per_query.threads = 1;  // batch parallelism replaces match parallelism
-  auto run_one = [&](size_t i) -> StatusOr<std::vector<DocId>> {
-    auto pattern = ParseXPath(xpaths[i]);
-    if (!pattern.ok()) return pattern.status();
-    ExecOptions opts = per_query;
-    if (opts.plan.cache_key.empty()) opts.plan.cache_key = xpaths[i];
-    // Inner segment probing is serial: the batch saturates the pool.
-    return ExecutePatternImpl(*pattern, opts, nullptr,
-                              /*parallel_segments=*/false);
-  };
-  if (pool_->width() <= 1 || xpaths.size() <= 1) {
-    for (size_t i = 0; i < xpaths.size(); ++i) out[i] = run_one(i);
-    return out;
-  }
-  pool_->ParallelFor(xpaths.size(), [&](size_t i) { out[i] = run_one(i); });
-  return out;
-}
-
 uint64_t DynamicIndex::generation() const {
   std::lock_guard<std::mutex> lock(mu_);
   return generation_;
@@ -645,12 +477,9 @@ uint64_t DynamicIndex::tombstoned_documents() const {
 }
 
 uint64_t DynamicIndex::TotalIndexNodes() const {
-  std::unique_lock<std::mutex> lock(mu_);
-  WaitForSealsLocked(&lock);
+  std::lock_guard<std::mutex> lock(mu_);
   uint64_t total = 0;
-  for (const auto& segment : segments_) {
-    if (segment != nullptr) total += segment->Stats().trie_nodes;
-  }
+  for (const auto& segment : segments_) total += segment->Stats().trie_nodes;
   return total;
 }
 

@@ -26,24 +26,22 @@
 // nothing there. Each segment interns its own path dictionary (PathIds are
 // segment-local, consistent with the segment's own trie).
 //
-// Threading: the index is internally synchronized — Add/Flush/Query/
-// QueryBatch may race freely from many threads. With a pool of width > 1
-// sealing happens *off the caller's thread*: Add() moves the full buffer
-// into an in-flight batch and returns; a pool task builds the segment and
-// publishes it. Queries arriving in between scan the in-flight batch
-// brute-force, so answers never miss documents. Flush() triggers a seal
-// without waiting; Compact() and TotalIndexNodes() drain pending seals
-// first. The one rule callers keep: nothing interns into names()/values()
-// while the index is read. Queries (buffer scans and sealed segments
-// alike) and SaveCompacted() read the shared tables, which are not
-// internally synchronized, so parse or generate documents under a lock
-// that excludes them, or before they start. Seals and Compact() never
-// read the tables, so they may run while a writer interns.
+// Threading: the index is internally synchronized — Add/Flush/Query may
+// race freely from many threads. Sealing is inline: the mutation that fills
+// the buffer (or Flush()) builds the segment under the index lock and
+// returns once it is published, so queries wait for the build and never see
+// a half-sealed buffer. `index.threads` > 1 parallelizes each seal's
+// Finish() and each query's segment probes. The one rule callers keep:
+// nothing interns into names()/values() while the index is read. Queries
+// (buffer scans and sealed segments alike) and SaveCompacted() read the
+// shared tables, which are not internally synchronized, so parse or
+// generate documents under a lock that excludes them, or before they
+// start. Seals and Compact() never read the tables, so they may run while
+// a writer interns.
 
 #ifndef XSEQ_SRC_CORE_DYNAMIC_INDEX_H_
 #define XSEQ_SRC_CORE_DYNAMIC_INDEX_H_
 
-#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -69,20 +67,18 @@ struct DynamicOptions {
 class DynamicIndex {
  public:
   explicit DynamicIndex(DynamicOptions options = DynamicOptions());
-  ~DynamicIndex();
 
   /// Vocabulary to parse/generate against (held by every segment too).
   NameTable* names() { return names_.get(); }
   ValueEncoder* values() { return values_.get(); }
 
-  /// Adds a document; kicks off a background seal when the buffer fills up
-  /// (inline when the pool is serial).
+  /// Adds a document. The Add that fills the buffer seals it into a
+  /// segment before returning, under the index lock.
   Status Add(Document&& doc);
 
   /// Deletes every live document with `id`. Buffered documents are removed
-  /// outright; documents already sealed (or sealing) are tombstoned in
-  /// their segment slot and filtered from every query until Compact()
-  /// purges them. Always bumps the generation; deleting an id that does
+  /// outright; documents already sealed are tombstoned in their segment
+  /// slot and filtered from every query until Compact() purges them. Always bumps the generation; deleting an id that does
   /// not exist is a no-op that still invalidates cached results.
   Status Delete(DocId id);
 
@@ -92,13 +88,13 @@ class DynamicIndex {
   /// observes both versions or neither.
   Status Update(Document&& doc, DocId id);
 
-  /// Seals the current buffer into a segment (no-op when empty). The build
-  /// itself runs on the pool; this call does not wait for it.
+  /// Seals the current buffer into a segment (no-op when empty); returns
+  /// once the segment is built.
   Status Flush();
 
   /// Rebuilds all segments + buffer into a single segment using the
-  /// current global statistics. Drains pending seals first; the rebuild
-  /// sequences documents across the pool.
+  /// current global statistics; the rebuild sequences documents across the
+  /// pool.
   Status Compact();
 
   /// Persists the index as a *static* image: compacts everything into one
@@ -123,13 +119,6 @@ class DynamicIndex {
       const xseq::QueryPattern& pattern, const ExecOptions& options = {},
       ExecStats* stats = nullptr) const;
 
-  /// Runs many XPath queries across the pool; results are positionally
-  /// aligned with `xpaths`. Each query probes its segments serially (the
-  /// batch already saturates the pool).
-  std::vector<StatusOr<std::vector<DocId>>> QueryBatch(
-      const std::vector<std::string>& xpaths,
-      const ExecOptions& options = {}) const;
-
   /// Monotone mutation counter for result-cache invalidation: starts at 1
   /// and is bumped under the index lock by every mutation
   /// (Add/Delete/Update/Flush/Compact). A
@@ -139,31 +128,28 @@ class DynamicIndex {
   /// at the same generation observed precisely that state.
   uint64_t generation() const;
 
-  /// Sealed segments plus seals in flight (each in-flight batch becomes
-  /// exactly one segment).
+  /// Sealed segments.
   size_t segment_count() const;
   size_t buffered_documents() const;
   /// Live documents: adds minus documents removed by Delete/Update.
   uint64_t total_documents() const;
-  /// Tombstoned documents awaiting purge (sealed or sealing occurrences of
-  /// deleted ids); drops to zero after Compact().
+  /// Tombstoned documents awaiting purge (sealed occurrences of deleted
+  /// ids); drops to zero after Compact().
   uint64_t tombstoned_documents() const;
 
-  /// Sum of segment index nodes (the size metric of the paper). Waits for
-  /// in-flight seals so the number is stable.
+  /// Sum of segment index nodes (the size metric of the paper).
   uint64_t TotalIndexNodes() const;
 
  private:
-  /// Documents not yet in a segment (the live buffer, or one in-flight
-  /// batch) with the path dictionary their scan instantiates queries
-  /// against. Mutations only append to or erase from `docs`; Sync() brings
-  /// the rest up to date, so write-only traffic pays no interning. After a
-  /// Sync, `dict` interns the scanned documents in order, exactly as a
-  /// fresh dictionary over them would, so PathIds, instantiation order and
-  /// answers never depend on which documents came and went before. The
-  /// scanned documents are `docs`, or in char-sequence mode `expanded`:
-  /// their chain-expanded copies, parallel to `docs` once synced (empty in
-  /// the other modes).
+  /// Documents not yet in a segment, with the path dictionary their scan
+  /// instantiates queries against. Mutations only append to or erase from
+  /// `docs`; Sync() brings the rest up to date, so write-only traffic pays
+  /// no interning. After a Sync, `dict` interns the scanned documents in
+  /// order, exactly as a fresh dictionary over them would, so PathIds,
+  /// instantiation order and answers never depend on which documents came
+  /// and went before. The scanned documents are `docs`, or in
+  /// char-sequence mode `expanded`: their chain-expanded copies, parallel
+  /// to `docs` once synced (empty in the other modes).
   struct UnsealedDocs {
     std::vector<Document> docs;
     std::vector<Document> expanded;
@@ -184,59 +170,28 @@ class DynamicIndex {
     size_t Erase(DocId id);
   };
 
-  /// A buffer snapshot being built into a segment on the pool. Queries scan
-  /// it brute-force until the segment lands in its reserved slot. It keeps
-  /// the dictionary it carried out of the buffer; the first query to scan
-  /// it syncs that dictionary, outside the index lock, and later queries
-  /// share it read-only. Documents tombstoned meanwhile stay in it; the
-  /// slot's dead set filters them.
-  class SealBatch {
-   public:
-    SealBatch(UnsealedDocs&& unsealed, size_t slot)
-        : unsealed_(std::move(unsealed)), slot_(slot) {}
-    const std::vector<Document>& docs() const { return unsealed_.docs; }
-    size_t slot() const { return slot_; }  ///< index reserved in segments_
-    /// The batch with its dictionary synced, by the first caller only.
-    /// Sync never touches `docs`, which the seal task reads meanwhile.
-    const UnsealedDocs& Synced(ValueMode mode) const {
-      std::call_once(synced_, [this, mode] { unsealed_.Sync(mode); });
-      return unsealed_;
-    }
-
-   private:
-    mutable UnsealedDocs unsealed_;
-    mutable std::once_flag synced_;
-    size_t slot_;
-  };
-
   /// Per-slot mutation state, parallel to segments_. `ids` counts the
-  /// documents sealed (or sealing) into the slot, fixed when the slot is
-  /// reserved; `dead` is the copy-on-write tombstone set (null = none), so
-  /// queries snapshot it with the segment pointer and filter lock-free.
+  /// documents sealed into the slot; `dead` is the copy-on-write tombstone
+  /// set (null = none), so queries snapshot it with the segment pointer and
+  /// filter lock-free.
   struct SlotState {
     std::shared_ptr<const std::unordered_map<DocId, uint32_t>> ids;
     std::shared_ptr<const std::unordered_set<DocId>> dead;
   };
 
+  /// Builds the buffer into a new segment and publishes it (no-op when
+  /// empty).
   Status SealBufferLocked();
-  void WaitForSealsLocked(std::unique_lock<std::mutex>* lock) const;
-  Status TakeSealErrorLocked();
   /// Removes `id` everywhere it is live: erased from the buffer,
   /// tombstoned in every slot whose id set contains it. Returns the number
   /// of documents removed and deducts it from total_docs_.
   uint64_t RemoveLocked(DocId id);
-  StatusOr<std::vector<DocId>> ExecutePatternImpl(
-      const xseq::QueryPattern& pattern, const ExecOptions& options,
-      ExecStats* stats, bool parallel_segments) const;
-  /// Brute-force scan of not-yet-indexed documents (live buffer or one
-  /// in-flight batch). Comparison predicates are answered by checking
-  /// each document directly; `dead`, when given, filters tombstoned ids.
-  /// Adds the number of concrete trees instantiated to `*trees`.
-  Status ScanDocs(const UnsealedDocs& unsealed,
-                  const xseq::QueryPattern& pattern,
-                  const ExecOptions& options,
-                  const std::unordered_set<DocId>* dead,
-                  std::vector<DocId>* out, uint64_t* trees) const;
+  /// Brute-force scan of the buffer, whose dictionary the caller has
+  /// synced. Comparison predicates are answered by checking each document
+  /// directly. Adds the number of concrete trees instantiated to `*trees`.
+  Status ScanBufferLocked(const xseq::QueryPattern& pattern,
+                          const ExecOptions& options, std::vector<DocId>* out,
+                          uint64_t* trees) const;
 
   DynamicOptions options_;
   /// Shared with every segment's CollectionIndex; never reassigned.
@@ -249,16 +204,9 @@ class DynamicIndex {
   mutable MatchContextPool match_contexts_;
 
   mutable std::mutex mu_;
-  mutable std::condition_variable seal_cv_;
-  /// Sealed segments; a null entry is a slot reserved by an in-flight seal.
   std::vector<std::shared_ptr<const CollectionIndex>> segments_;
   /// Ids and tombstones per slot, parallel to segments_.
   std::vector<SlotState> slot_state_;
-  /// Batches currently being sealed on the pool (their documents are
-  /// immutable once published).
-  std::vector<std::shared_ptr<const SealBatch>> sealing_;
-  size_t pending_seals_ = 0;
-  Status seal_error_;  ///< first background build failure, surfaced later
   /// The live buffer. Mutations append and erase, and queries Sync() it
   /// before they scan; all of it is read and written under mu_ only.
   mutable UnsealedDocs buffer_;

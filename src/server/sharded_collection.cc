@@ -233,9 +233,8 @@ bool ShardedCollection::sealed() const {
   return options_.dynamic || sealed_;
 }
 
-Status ShardedCollection::QueryShards(std::string_view xpath,
-                                      const ExecOptions& options,
-                                      bool parallel, QueryResult* out) const {
+StatusOr<QueryResult> ShardedCollection::Query(
+    std::string_view xpath, const ExecOptions& options) const {
   if (!sealed()) {
     return Status::FailedPrecondition("ShardedCollection not sealed");
   }
@@ -318,22 +317,20 @@ Status ShardedCollection::QueryShards(std::string_view xpath,
     }
   };
 
-  ThreadPool* pool = nullptr;
-  if (parallel && n > 1) {
-    pool = pool_ != nullptr ? pool_.get()
-           : options_.threads == 0 ? DefaultPool()
-                                   : nullptr;
-  }
-  if (pool != nullptr && pool->width() > 1) {
+  ThreadPool* pool = pool_ != nullptr ? pool_.get()
+                     : options_.threads == 0 ? DefaultPool()
+                                             : nullptr;
+  if (n > 1 && pool != nullptr && pool->width() > 1) {
     pool->ParallelFor(n, probe);
   } else {
     for (size_t s = 0; s < n; ++s) probe(s);
   }
 
+  QueryResult out;
   for (size_t s = 0; s < n; ++s) {
     XSEQ_RETURN_IF_ERROR(statuses[s]);
-    out->stats.Add(part_stats[s]);
-    out->docs.insert(out->docs.end(), parts[s].begin(), parts[s].end());
+    out.stats.Add(part_stats[s]);
+    out.docs.insert(out.docs.end(), parts[s].begin(), parts[s].end());
     if (options.explain != nullptr) {
       // Attribute this shard's plan rows before merging, and add one
       // fan-out breakdown row so the explain shows where the work went.
@@ -351,38 +348,10 @@ Status ShardedCollection::QueryShards(std::string_view xpath,
   }
   // Shards partition the id space, so this is a disjoint union: sort for
   // the public "sorted, deduplicated" contract; unique is a no-op guard.
-  std::sort(out->docs.begin(), out->docs.end());
-  out->docs.erase(std::unique(out->docs.begin(), out->docs.end()),
-                  out->docs.end());
-  return Status::OK();
-}
-
-StatusOr<QueryResult> ShardedCollection::Query(
-    std::string_view xpath, const ExecOptions& options) const {
-  QueryResult out;
-  XSEQ_RETURN_IF_ERROR(QueryShards(xpath, options, /*parallel=*/true, &out));
+  std::sort(out.docs.begin(), out.docs.end());
+  out.docs.erase(std::unique(out.docs.begin(), out.docs.end()),
+                 out.docs.end());
   return out;
-}
-
-std::vector<StatusOr<QueryResult>> ShardedCollection::QueryBatch(
-    const std::vector<std::string>& xpaths, const ExecOptions& options) const {
-  std::vector<StatusOr<QueryResult>> results(
-      xpaths.size(), StatusOr<QueryResult>(Status::Internal("unset")));
-  ThreadPool* pool = pool_ != nullptr ? pool_.get()
-                     : options_.threads == 0 ? DefaultPool()
-                                             : nullptr;
-  auto run_one = [&](size_t i) {
-    QueryResult one;
-    Status st = QueryShards(xpaths[i], options, /*parallel=*/false, &one);
-    results[i] = st.ok() ? StatusOr<QueryResult>(std::move(one))
-                         : StatusOr<QueryResult>(st);
-  };
-  if (pool != nullptr && pool->width() > 1 && xpaths.size() > 1) {
-    pool->ParallelFor(xpaths.size(), run_one);
-  } else {
-    for (size_t i = 0; i < xpaths.size(); ++i) run_one(i);
-  }
-  return results;
 }
 
 uint64_t ShardedCollection::total_documents() const {

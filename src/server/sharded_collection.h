@@ -32,8 +32,10 @@
 // SaveCompacted); what Load() reads back is always a static collection.
 //
 // Thread-safety: Add/Seal are exclusive to one preparing thread; after
-// Seal (or at any time on the dynamic backend) Query/QueryBatch may race
-// freely from many threads.
+// Seal (or at any time on the dynamic backend) Query may race freely from
+// many threads. A dynamic shard seals inline, so the mutation that fills
+// its buffer builds the segment under the shard's lock while that shard's
+// queries wait.
 
 #ifndef XSEQ_SRC_SERVER_SHARDED_COLLECTION_H_
 #define XSEQ_SRC_SERVER_SHARDED_COLLECTION_H_
@@ -127,14 +129,6 @@ class ShardedCollection {
   StatusOr<QueryResult> Query(std::string_view xpath,
                               const ExecOptions& options = {}) const;
 
-  /// Runs many queries concurrently across the pool; each query then
-  /// probes its shards serially (the batch already saturates the pool).
-  /// Results are positionally aligned with `xpaths` and identical to
-  /// serial Query() calls.
-  std::vector<StatusOr<QueryResult>> QueryBatch(
-      const std::vector<std::string>& xpaths,
-      const ExecOptions& options = {}) const;
-
   uint64_t total_documents() const;
 
   /// One built static shard (after Seal() or Load()); null for the dynamic
@@ -170,9 +164,6 @@ class ShardedCollection {
                                           const PersistOptions& persist = {});
 
  private:
-  Status QueryShards(std::string_view xpath, const ExecOptions& options,
-                     bool parallel, QueryResult* out) const;
-
   ShardedOptions options_;
   bool sealed_ = false;
   /// Static backend: builders before Seal, indexes after.

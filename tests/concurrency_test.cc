@@ -210,10 +210,11 @@ TEST(DynamicConcurrency, ParallelSealsMatchSerialAnswers) {
       EXPECT_TRUE(dyn.Add(gen.Generate(d)).ok());
     }
     EXPECT_TRUE(dyn.Flush().ok());
-    return dyn.TotalIndexNodes();  // drains in-flight seals
+    return dyn.TotalIndexNodes();
   };
-  // Background sealing sequences each segment under the same per-segment
-  // statistics as the inline path, so the total node count is identical.
+  // A 4-wide pool parallelizes each seal's Finish() but sequences each
+  // segment under the same per-segment statistics as a serial one, so the
+  // total node count is identical.
   EXPECT_EQ(run(1), run(4));
 }
 
@@ -286,34 +287,19 @@ TEST(DynamicConcurrency, QueriesRaceAddsAndFlushes) {
     ASSERT_TRUE(b.ok()) << pattern.source;
     EXPECT_EQ(*a, *b) << pattern.source;
   }
-
-  // Batch entry point agrees with one-at-a-time queries (sampled sources
-  // with text() predicates are not parser syntax; use the subset that is).
-  std::vector<std::string> xpaths{"/e0"};
-  for (const QueryPattern& pattern : patterns) {
-    if (ParseXPath(pattern.source).ok()) xpaths.push_back(pattern.source);
-  }
-  auto batch = dyn.QueryBatch(xpaths);
-  ASSERT_EQ(batch.size(), xpaths.size());
-  for (size_t i = 0; i < xpaths.size(); ++i) {
-    auto expected = dyn.Query(xpaths[i]);
-    ASSERT_TRUE(expected.ok());
-    ASSERT_TRUE(batch[i].ok()) << xpaths[i];
-    EXPECT_EQ(*batch[i], *expected) << xpaths[i];
-  }
 }
 
 TEST(DynamicConcurrency, QueriesRaceBufferedUpdatesAndDeletes) {
-  // A 4-wide pool seals off the writer's thread, so readers share the path
-  // dictionaries of in-flight batches, while buffered deletes and updates
-  // empty the live buffer's dictionary for the next query to rebuild under
-  // the index lock.
+  // The writer seals inline under the index lock while readers wait on it,
+  // and buffered deletes and updates empty the buffer's dictionary for the
+  // next query to rebuild under the same lock. The 4-wide pool probes the
+  // sealed segments of each query in parallel.
   DynamicOptions opts;
   opts.index.threads = 4;
   opts.flush_threshold = 12;
   DynamicIndex dyn(opts);
-  // A serial twin seals inline, so it never has a batch in flight; it takes
-  // the same schedule and answers for the writer's own checks.
+  // A serial twin takes the same schedule and answers for the writer's own
+  // checks.
   DynamicOptions twin_opts = opts;
   twin_opts.index.threads = 1;
   DynamicIndex twin(twin_opts);
@@ -338,7 +324,7 @@ TEST(DynamicConcurrency, QueriesRaceBufferedUpdatesAndDeletes) {
   Rng rng(71, 5);
   DocId next_id = 0;
   // Updates and deletes pick among the latest ids, so they land in the
-  // buffer as well as in sealing or sealed slots.
+  // buffer as well as in sealed slots.
   auto recent = [&rng, &next_id] {
     return next_id - 1 - rng.Uniform(std::min<DocId>(next_id, 20));
   };
@@ -400,8 +386,8 @@ TEST(DynamicConcurrency, QueriesRaceBufferedUpdatesAndDeletes) {
     return Status::OK();
   };
   // Only this thread mutates, so a delete that shrinks the buffer removed
-  // a buffered document. After every mutation, while the seal it may have
-  // started is still in flight, one text must answer as on the twin.
+  // a buffered document. After every mutation, including one that sealed,
+  // one text must answer as on the twin.
   size_t buffered_deletes = 0;
   for (size_t step = 0; step < ops.size(); ++step) {
     Op& op = ops[step];
@@ -460,9 +446,9 @@ TEST(DynamicConcurrency, QueriesRaceBufferedUpdatesAndDeletes) {
 TEST(DynamicConcurrency, WriterInternsWhileSegmentsShareTables) {
   // xseq_serve's discipline: the writer parses each document, interning its
   // new names and values, under an exclusive lock that queries share, and
-  // mutates the index outside it. Seals on the 4-wide pool and a Compact()
-  // from another thread take no vocabulary lock, so a seal or compaction
-  // that read the tables every segment shares would race the interning.
+  // mutates the index outside it, sealing inline. A Compact() from another
+  // thread takes no vocabulary lock, so a compaction that read the tables
+  // every segment shares would race the interning.
   DynamicOptions opts;
   opts.index.threads = 4;
   opts.flush_threshold = 8;
@@ -585,6 +571,8 @@ TEST(DynamicConcurrency, WriterInternsWhileSegmentsShareTables) {
 }
 
 TEST(DynamicConcurrency, CompactDrainsPendingSeals) {
+  // Every twentieth Add seals inline on a 4-wide pool, so nothing is
+  // pending when Compact() folds the five segments into one.
   SyntheticParams params;
   params.seed = 55;
   DynamicOptions opts;

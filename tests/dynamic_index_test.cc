@@ -241,14 +241,15 @@ INSTANTIATE_TEST_SUITE_P(AllModes, DynamicBufferDictTest,
 // is first interned the older segments resolve it too, though their tries
 // hold no path for it. An element name and an exact text first seen after
 // two segments sealed must answer exactly the live documents carrying them
-// while buffered, while sealing on the pool, sealed, after a delete and
-// after Compact(). Each text runs once before the literals exist, so the
+// while buffered, right after the Flush() that seals them inline on a
+// 4-wide pool, with a second copy buffered, after a delete and after
+// Compact(). Each text runs once before the literals exist, so the
 // plan cache holds the old segments' plans from then on.
 class DynamicLateLiteralTest : public ::testing::TestWithParam<ValueMode> {};
 
 TEST_P(DynamicLateLiteralTest, LateLiteralsAnswerExactlyTheirDocuments) {
   DynamicOptions opts;
-  opts.index.threads = 4;  // seals run on the pool
+  opts.index.threads = 4;  // seals build and queries probe on the pool
   opts.index.value_mode = GetParam();
   opts.flush_threshold = 100;  // only explicit seals
   DynamicIndex dyn(opts);
@@ -262,7 +263,7 @@ TEST_P(DynamicLateLiteralTest, LateLiteralsAnswerExactlyTheirDocuments) {
       ASSERT_TRUE(dyn.Flush().ok());
     }
   }
-  dyn.TotalIndexNodes();  // waits for both seals
+  dyn.TotalIndexNodes();  // both seals already ran inline
   ASSERT_EQ(dyn.segment_count(), 2u);
 
   const std::vector<std::string> texts = {"/a/b[.='late text']", "//late",
@@ -284,7 +285,7 @@ TEST_P(DynamicLateLiteralTest, LateLiteralsAnswerExactlyTheirDocuments) {
   ASSERT_NE(dyn.names()->Find("late"), Interner::kInvalidId);
   expect({10}, "buffered");
   ASSERT_TRUE(dyn.Flush().ok());
-  expect({10}, "sealing");
+  expect({10}, "flushed");
   dyn.TotalIndexNodes();
   expect({10}, "sealed");
   ASSERT_TRUE(dyn.Add(make(late, 11)).ok());

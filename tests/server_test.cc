@@ -138,17 +138,6 @@ TEST_P(ShardedDifferentialTest, MatchesUnshardedIndex) {
     }
   }
 
-  // QueryBatch agrees with serial Query positionally.
-  std::vector<std::string> batch = Queries();
-  auto results = col.QueryBatch(batch);
-  ASSERT_EQ(results.size(), batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    ASSERT_TRUE(results[i].ok()) << batch[i];
-    auto expect = baseline.Query(batch[i]);
-    ASSERT_TRUE(expect.ok());
-    EXPECT_EQ(results[i]->docs, expect->docs) << batch[i];
-  }
-
   // Malformed query surfaces the parse error, not a crash.
   EXPECT_FALSE(col.Query("][").ok());
 }

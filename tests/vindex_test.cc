@@ -734,8 +734,8 @@ TEST_P(MutationDifferentialTest, DynamicIndexTinySegments) {
 }
 
 TEST_P(MutationDifferentialTest, DynamicIndexMixedSegmentsAndBuffer) {
-  // flush_threshold 4: mutations land in buffered, sealing and sealed
-  // documents alike.
+  // flush_threshold 4: mutations land in buffered and sealed documents
+  // alike.
   DynamicIndex dyn(SerialDynamicOptions(4, GetParam()));
   RunMutationDifferential(WrapDynamic(&dyn), GetParam(), /*seed=*/0xB0B,
                           /*steps=*/90);
