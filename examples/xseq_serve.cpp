@@ -17,7 +17,9 @@
 //   --queue=N          queries that may wait for a free slot; past that
 //                      => kOverloaded (default 64)
 //   --deadline_ms=N    default per-request deadline; 0 = none
-//   --threads=N        shard scatter-gather parallelism (0 = default pool)
+//   --threads=N        set-up parallelism: shard builds, loads and hot-swap
+//                      reloads (0 = default pool, 1 = serial); a query
+//                      always runs on its connection's thread
 //   --result_cache=0|1 generation-keyed result cache; hits are served on
 //                      the connection thread without waiting (default 1)
 //   --canary=XPATH     (repeatable) validation query a candidate image must

@@ -48,9 +48,8 @@ int Usage() {
       " stats and the\n"
       "              # process metrics registry (latencies, matcher"
       " counters, I/O, pool)\n"
-      "  xseq_tool query --index=FILE --q=XPATH [--verbose] [--explain]"
-      " [--threads=N]\n"
-      "  xseq_tool explain --index=FILE --q=XPATH [--threads=N] [--json]\n"
+      "  xseq_tool query --index=FILE --q=XPATH [--verbose] [--explain]\n"
+      "  xseq_tool explain --index=FILE --q=XPATH [--json]\n"
       "              # runs the query with an explain sink and prints the"
       " planner's account\n"
       "  xseq_tool trace --index=FILE --q=XPATH [--out=FILE]\n"
@@ -70,8 +69,11 @@ int Usage() {
       " (Theorem 1),\n"
       "              # re-routes by hash, rebuilds and saves\n"
       "\n"
-      "  --threads=N  worker threads (0 = hardware concurrency / "
-      "XSEQ_THREADS, 1 = serial)\n");
+      "  --threads=N  worker threads for builds, query batches and reshards"
+      "\n"
+      "               (0 = hardware concurrency / XSEQ_THREADS, 1 = serial);"
+      " a query\n"
+      "               always runs on one thread\n");
   return 2;
 }
 
@@ -320,7 +322,6 @@ int TraceQuery(const FlagSet& flags) {
 
   obs::Tracer tracer;
   ExecOptions exec;
-  exec.threads = flags.GetInt("threads", 1);
   exec.tracer = &tracer;
   auto r = index->Query(q, exec);
   if (!r.ok()) {
@@ -353,8 +354,6 @@ int Query(const FlagSet& flags) {
   std::string q = flags.GetString("q", "");
   if (q.empty()) return Usage();
   ExecOptions exec;
-  exec.threads = flags.GetInt("threads", 1);
-  std::printf("threads: %d\n", ResolveThreadCount(exec.threads));
   if (flags.GetBool("explain", false)) {
     auto plan = ExplainQuery(index->executor(), q, index->dict(),
                              index->names());
@@ -406,7 +405,6 @@ int Explain(const FlagSet& flags) {
   std::string q = flags.GetString("q", "");
   if (q.empty()) return Usage();
   ExecOptions exec;
-  exec.threads = flags.GetInt("threads", 1);
   QueryExplain explain;
   exec.explain = &explain;
   Timer timer;

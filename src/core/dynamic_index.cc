@@ -109,8 +109,7 @@ DynamicIndex::DynamicIndex(DynamicOptions options)
     : options_(options),
       names_(std::make_shared<NameTable>()),
       values_(std::make_shared<ValueEncoder>(options.index.value_mode,
-                                             options.index.hash_range)),
-      pool_(std::make_unique<ThreadPool>(options.index.threads)) {
+                                             options.index.hash_range)) {
   // Segments must retain their documents so Compact() can re-sequence them
   // under fresher statistics.
   options_.index.keep_documents = true;
@@ -398,48 +397,20 @@ StatusOr<std::vector<DocId>> DynamicIndex::ExecutePattern(
     scan_span.Annotate("docs", out.size());
   }
 
-  if (pool_->width() > 1 && segments.size() > 1) {
-    const size_t k = segments.size();
-    std::vector<std::vector<DocId>> parts(k);
-    std::vector<ExecStats> part_stats(k);
-    std::vector<Status> results(k, Status::OK());
-    pool_->ParallelFor(k, [&](size_t i) {
-      MatchContextLease lease(&match_contexts_);
-      obs::SpanScope seg_span(opts.trace, "segment_probe", root_span);
-      ExecOptions seg_opts = opts;
-      seg_opts.trace_parent = seg_span.id();
-      auto part = segments[i]->executor().ExecutePattern(
-          pattern, &part_stats[i], seg_opts, lease.get());
-      if (part.ok()) {
-        RemoveDeadIds(seg_dead[i].get(), &*part);
-        seg_span.Annotate("docs", part->size());
-        parts[i] = std::move(*part);
-      } else {
-        results[i] = part.status();
-      }
-    });
-    for (size_t i = 0; i < k; ++i) {
-      XSEQ_RETURN_IF_ERROR(results[i]);
-      if (stats != nullptr) stats->Add(part_stats[i]);
-      out.insert(out.end(), parts[i].begin(), parts[i].end());
-    }
-  } else {
-    // One leased context serves every segment probe of this query.
-    MatchContextLease lease(&match_contexts_);
-    for (size_t i = 0; i < segments.size(); ++i) {
-      const auto& segment = segments[i];
-      ExecStats part_stats;
-      obs::SpanScope seg_span(opts.trace, "segment_probe", root_span);
-      ExecOptions seg_opts = opts;
-      seg_opts.trace_parent = seg_span.id();
-      auto part = segment->executor().ExecutePattern(pattern, &part_stats,
-                                                     seg_opts, lease.get());
-      if (!part.ok()) return part.status();
-      RemoveDeadIds(seg_dead[i].get(), &*part);
-      seg_span.Annotate("docs", part->size());
-      if (stats != nullptr) stats->Add(part_stats);
-      out.insert(out.end(), part->begin(), part->end());
-    }
+  // One leased context serves every segment probe of this query.
+  MatchContextLease lease(&match_contexts_);
+  for (size_t i = 0; i < segments.size(); ++i) {
+    ExecStats part_stats;
+    obs::SpanScope seg_span(opts.trace, "segment_probe", root_span);
+    ExecOptions seg_opts = opts;
+    seg_opts.trace_parent = seg_span.id();
+    auto part = segments[i]->executor().ExecutePattern(pattern, &part_stats,
+                                                       seg_opts, lease.get());
+    if (!part.ok()) return part.status();
+    RemoveDeadIds(seg_dead[i].get(), &*part);
+    seg_span.Annotate("docs", part->size());
+    if (stats != nullptr) stats->Add(part_stats);
+    out.insert(out.end(), part->begin(), part->end());
   }
 
   std::sort(out.begin(), out.end());

@@ -30,8 +30,9 @@
 // race freely from many threads. Sealing is inline: the mutation that fills
 // the buffer (or Flush()) builds the segment under the index lock and
 // returns once it is published, so queries wait for the build and never see
-// a half-sealed buffer. `index.threads` > 1 parallelizes each seal's
-// Finish() and each query's segment probes. The one rule callers keep:
+// a half-sealed buffer. `index.threads` sizes the pool each seal's and
+// each compaction's Finish() builds on; a query probes its segments one
+// after another on the calling thread. The one rule callers keep:
 // nothing interns into names()/values() while the index is read. Queries
 // (buffer scans and sealed segments alike) and SaveCompacted() read the
 // shared tables, which are not internally synchronized, so parse or
@@ -52,7 +53,6 @@
 #include "src/core/collection_index.h"
 #include "src/core/persist.h"
 #include "src/query/oracle.h"
-#include "src/util/thread_pool.h"
 
 namespace xseq {
 
@@ -94,7 +94,7 @@ class DynamicIndex {
 
   /// Rebuilds all segments + buffer into a single segment using the
   /// current global statistics; the rebuild sequences documents across the
-  /// pool.
+  /// `index.threads` build pool.
   Status Compact();
 
   /// Persists the index as a *static* image: compacts everything into one
@@ -112,9 +112,9 @@ class DynamicIndex {
   StatusOr<std::vector<DocId>> Query(std::string_view xpath,
                                      const ExecOptions& options = {}) const;
 
-  /// Runs an already-parsed pattern. Sealed segments are probed in
-  /// parallel on the pool; `stats`, when given, aggregates per-segment
-  /// ExecStats via ExecStats::Add.
+  /// Runs an already-parsed pattern. Sealed segments are probed one after
+  /// another on the calling thread; `stats`, when given, aggregates
+  /// per-segment ExecStats via ExecStats::Add.
   StatusOr<std::vector<DocId>> ExecutePattern(
       const xseq::QueryPattern& pattern, const ExecOptions& options = {},
       ExecStats* stats = nullptr) const;
@@ -197,10 +197,9 @@ class DynamicIndex {
   /// Shared with every segment's CollectionIndex; never reassigned.
   std::shared_ptr<NameTable> names_;
   std::shared_ptr<ValueEncoder> values_;
-  std::unique_ptr<ThreadPool> pool_;
 
-  /// Reusable match scratch shared by all queries (leases are per query /
-  /// per worker; the pool is internally synchronized).
+  /// Reusable match scratch shared by all queries (one lease per query;
+  /// the pool is internally synchronized).
   mutable MatchContextPool match_contexts_;
 
   mutable std::mutex mu_;

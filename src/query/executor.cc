@@ -9,7 +9,6 @@
 
 #include "src/obs/metrics.h"
 #include "src/query/plan_cache.h"
-#include "src/util/thread_pool.h"
 #include "src/util/timer.h"
 #include "src/vindex/compare.h"
 
@@ -369,72 +368,28 @@ StatusOr<std::vector<DocId>> QueryExecutor::ExecutePattern(
   std::vector<DocId> out;
 
   // Callers that pass no context get a pooled one for the duration of the
-  // call: the serial loops below then reuse one decoded-block cache across
-  // every compiled sequence instead of rebuilding scratch per sequence.
+  // call: the loop below then reuses one decoded-block cache across every
+  // compiled sequence instead of rebuilding scratch per sequence.
   std::optional<MatchContextLease> ctx_lease;
   if (ctx == nullptr) {
     ctx_lease.emplace(&ctx_pool_);
     ctx = ctx_lease->get();
   }
 
-  ThreadPool* pool = nullptr;
-  std::unique_ptr<ThreadPool> owned;
-  if (opts.threads == 0) {
-    pool = DefaultPool();
-  } else if (opts.threads > 1) {
-    owned = std::make_unique<ThreadPool>(opts.threads);
-    pool = owned.get();
-  }
   obs::SpanScope match_span(opts.trace, "match", root_span);
-  if (pool != nullptr && pool->width() > 1 && plan->sequences.size() > 1) {
-    // Each MatchSequence call is read-only over the FrozenIndex; per-slot
-    // outputs merge in sequence order, so counters and ids are identical to
-    // the serial loop below.
-    const size_t k = plan->sequences.size();
-    std::vector<std::vector<DocId>> parts(k);
-    std::vector<MatchStats> part_stats(k);
-    std::vector<Status> results(k);
-    pool->ParallelFor(k, [&](size_t i) {
-      if (opts.DeadlineExpired()) {
-        results[i] = DeadlineError();
-        return;
-      }
-      obs::SpanScope seq_span(opts.trace, "match_seq", match_span.id());
-      results[i] = MatchSequence(*index_, plan->sequences[i], opts.mode,
-                                 &parts[i], &part_stats[i]);
-      seq_span.Annotate("positions", plan->sequences[i].size());
-      seq_span.Annotate("entries_read", part_stats[i].link_entries_read);
-      seq_span.Annotate("docs", parts[i].size());
-    });
-    for (size_t i = 0; i < k; ++i) {
-      XSEQ_RETURN_IF_ERROR(results[i]);
-      st->match.Add(part_stats[i]);
-      out.insert(out.end(), parts[i].begin(), parts[i].end());
-    }
-  } else if (opts.trace != nullptr) {
-    // Traced serial path: per-sequence stats go through a local delta so
-    // each span can carry its own counters. Aggregates are identical to
-    // the untraced loop below.
-    for (const QuerySeq& qs : plan->sequences) {
-      if (opts.DeadlineExpired()) return DeadlineError();
-      obs::SpanScope seq_span(opts.trace, "match_seq", match_span.id());
-      MatchStats seq_stats;
-      size_t docs_before = out.size();
-      XSEQ_RETURN_IF_ERROR(
-          MatchSequence(*index_, qs, opts.mode, &out, &seq_stats, ctx));
-      seq_span.Annotate("positions", qs.size());
-      seq_span.Annotate("entries_read", seq_stats.link_entries_read);
-      seq_span.Annotate("docs", out.size() - docs_before);
-      st->match.Add(seq_stats);
-    }
-  } else {
-    // The caller's context (or none) is reused across every compiled
-    // sequence of this query.
-    for (const QuerySeq& qs : plan->sequences) {
-      if (opts.DeadlineExpired()) return DeadlineError();
-      XSEQ_RETURN_IF_ERROR(
-          MatchSequence(*index_, qs, opts.mode, &out, &st->match, ctx));
-    }
+  // Per-sequence stats go through a local delta so each span (a no-op when
+  // untraced) can carry its own counters.
+  for (const QuerySeq& qs : plan->sequences) {
+    if (opts.DeadlineExpired()) return DeadlineError();
+    obs::SpanScope seq_span(opts.trace, "match_seq", match_span.id());
+    MatchStats seq_stats;
+    size_t docs_before = out.size();
+    XSEQ_RETURN_IF_ERROR(
+        MatchSequence(*index_, qs, opts.mode, &out, &seq_stats, ctx));
+    seq_span.Annotate("positions", qs.size());
+    seq_span.Annotate("entries_read", seq_stats.link_entries_read);
+    seq_span.Annotate("docs", out.size() - docs_before);
+    st->match.Add(seq_stats);
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());

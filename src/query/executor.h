@@ -8,6 +8,11 @@
 //
 // Compiled sequences are deduplicated, so the isomorphism expansion of
 // structurally equal branches costs nothing extra at match time.
+//
+// A query runs start to finish on its calling thread: its sequences are
+// matched one after another. Parallelism lives above the executor, across
+// queries (execution slots in the server, CollectionIndex::QueryBatch) and
+// in index builds.
 
 #ifndef XSEQ_SRC_QUERY_EXECUTOR_H_
 #define XSEQ_SRC_QUERY_EXECUTOR_H_
@@ -47,12 +52,6 @@ struct ExecOptions {
   /// going through it get caching for free, while direct ExecutePattern
   /// calls stay uncached unless they opt in.
   PlanOptions plan;
-  /// Match-level parallelism: the deduplicated compiled sequences of one
-  /// query are matched concurrently (each MatchSequence call is read-only
-  /// over the FrozenIndex). 1 = serial (default: single queries are usually
-  /// latency-bound on one sequence), 0 = the process default pool, n > 1 =
-  /// a dedicated pool for this call. Results are identical to serial.
-  int threads = 1;
   /// Tracing knob: when non-null, every query run with these options
   /// records a span tree (query -> compile -> instantiate -> per-sequence
   /// match; DynamicIndex adds per-segment probe spans) into the tracer's
@@ -69,7 +68,7 @@ struct ExecOptions {
   /// account of the plan it ran (instantiations, chosen sequence order with
   /// anchors, predicted vs. actual cost, cache hits) into it. Accumulation
   /// (not assignment) lets one explain aggregate the nested executions of a
-  /// DynamicIndex query or a scatter-gather fan-out. Costs a few planner
+  /// DynamicIndex query or a sharded query. Costs a few planner
   /// probes per sequence when set; nothing when null.
   QueryExplain* explain = nullptr;
   /// Absolute deadline in DeadlineNowMicros() units; 0 = no deadline. The
@@ -187,7 +186,7 @@ class QueryExecutor {
   const Sequencer* sequencer_;
   const Schema* schema_;
   const ValueIndex* vindex_;
-  /// Leased to calls that pass no MatchContext, so serial matching stays
+  /// Leased to calls that pass no MatchContext, so matching stays
   /// allocation-free across queries (the decoded-block cache in
   /// particular is too big to rebuild per call).
   mutable MatchContextPool ctx_pool_;

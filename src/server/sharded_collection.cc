@@ -107,12 +107,9 @@ ShardedCollection::ShardedCollection(ShardedOptions options)
     : options_(std::move(options)),
       match_contexts_(std::make_unique<MatchContextPool>()) {
   if (options_.shards < 1) options_.shards = 1;
-  if (options_.threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.threads);
-  }
-  // Per-shard builds run serial inside their shard: the shard fan-out is
-  // the parallelism, and a width-1 builder keeps shard builds bit-stable
-  // no matter how the scatter pool schedules them.
+  // Per-shard builds run serial inside their shard: Seal()'s fan-out over
+  // shards is the parallelism, and a width-1 builder keeps shard builds
+  // bit-stable no matter how that pool schedules them.
   IndexOptions per_shard = options_.index;
   per_shard.threads = 1;
   if (options_.dynamic) {
@@ -207,22 +204,15 @@ Status ShardedCollection::Seal() {
   const size_t n = builders_.size();
   shards_.resize(n);
   std::vector<Status> results(n);
-  ThreadPool* pool = pool_ != nullptr ? pool_.get()
-                     : options_.threads == 0 ? DefaultPool()
-                                             : nullptr;
-  auto build_one = [&](size_t s) {
+  std::unique_ptr<ThreadPool> owned;
+  PoolFor(options_.threads, &owned)->ParallelFor(n, [&](size_t s) {
     auto built = std::move(*builders_[s]).Finish();
     if (!built.ok()) {
       results[s] = built.status();
       return;
     }
     shards_[s] = std::make_unique<CollectionIndex>(std::move(*built));
-  };
-  if (pool != nullptr) {
-    pool->ParallelFor(n, build_one);
-  } else {
-    for (size_t s = 0; s < n; ++s) build_one(s);
-  }
+  });
   builders_.clear();
   sealed_ = true;
   for (const Status& st : results) XSEQ_RETURN_IF_ERROR(st);
@@ -241,12 +231,10 @@ StatusOr<QueryResult> ShardedCollection::Query(
   const bool metrics = obs::MetricsEnabled();
   if (metrics) ShardMetrics().queries->Increment();
 
-  // Per-shard options: shard fan-out replaces intra-query match
-  // parallelism; everything else (mode, deadline, tracing) rides along.
+  // Per-shard options: everything (mode, deadline, tracing) rides along.
   // The query text keys the per-shard plan caches (static shards set it
   // inside Query(); dynamic probes skip the parse, so set it here).
   ExecOptions shard_opts = options;
-  shard_opts.threads = 1;
   if (shard_opts.plan.cache_key.empty()) shard_opts.plan.cache_key = xpath;
 
   // The dynamic backend compiles from a pattern so the XPath parse happens
@@ -258,94 +246,83 @@ StatusOr<QueryResult> ShardedCollection::Query(
     pattern = std::move(*parsed);
   }
 
-  const size_t n = shard_count();
-  std::vector<Status> statuses(n);
-  std::vector<std::vector<DocId>> parts(n);
-  std::vector<ExecStats> part_stats(n);
-  std::vector<int64_t> probe_us(n, 0);
-  // Each probe fills its own explain; the merge below stamps shard ids and
-  // accumulates into the caller's sink — no cross-shard races on it.
-  std::vector<QueryExplain> part_explains(
-      options.explain != nullptr ? n : 0);
   obs::TraceBuilder* tb = options.trace;
-  auto probe = [&](size_t s) {
+  QueryResult out;
+  Status first_error;
+  // Shards are probed one after another on the calling thread, which holds
+  // the query's execution slot; parallelism comes from concurrent queries.
+  // Every shard is probed even after one fails; the first failure is
+  // returned and nothing after it is merged.
+  for (size_t s = 0; s < shard_count(); ++s) {
     Timer timer;
     // Per-probe options: each shard gets its own trace span to attach
-    // under and its own explain sink (the shared shard_opts would race).
+    // under and its own explain, merged into the caller's sink below.
     ExecOptions opts = shard_opts;
+    QueryExplain part_explain;
     obs::SpanScope probe_span(tb, "shard_probe", options.trace_parent);
     if (tb != nullptr) {
       probe_span.Annotate("shard", static_cast<uint64_t>(s));
       opts.trace = tb;
       opts.trace_parent = probe_span.id();
     }
-    if (options.explain != nullptr) opts.explain = &part_explains[s];
+    if (options.explain != nullptr) opts.explain = &part_explain;
+    Status status;
+    std::vector<DocId> part;
+    ExecStats part_stats;
     if (options_.dynamic) {
-      auto r = dynamic_shards_[s]->ExecutePattern(pattern, opts,
-                                                  &part_stats[s]);
+      auto r = dynamic_shards_[s]->ExecutePattern(pattern, opts, &part_stats);
       if (r.ok()) {
-        parts[s] = std::move(*r);
+        part = std::move(*r);
         // Dynamic probes report docs via the union; mirror the static
         // shard accounting so merged totals mean the same thing.
-        part_stats[s].result_docs = parts[s].size();
+        part_stats.result_docs = part.size();
       } else {
-        statuses[s] = r.status();
+        status = r.status();
       }
     } else {
       MatchContextLease lease(match_contexts_.get());
       auto r = shards_[s]->Query(xpath, opts, lease.get());
       if (r.ok()) {
-        parts[s] = std::move(r->docs);
-        part_stats[s] = r->stats;
+        part = std::move(r->docs);
+        part_stats = r->stats;
       } else {
-        statuses[s] = r.status();
+        status = r.status();
       }
     }
-    probe_us[s] = timer.ElapsedMicros();
+    const int64_t probe_us = timer.ElapsedMicros();
     if (tb != nullptr) {
-      probe_span.Annotate("docs", parts[s].size());
-      probe_span.Annotate("entries_read",
-                          part_stats[s].match.link_entries_read);
-      if (!statuses[s].ok()) probe_span.Annotate("error", 1);
+      probe_span.Annotate("docs", part.size());
+      probe_span.Annotate("entries_read", part_stats.match.link_entries_read);
+      if (!status.ok()) probe_span.Annotate("error", 1);
     }
     if (metrics) {
       const ShardMetricSet& m = ShardMetrics();
       m.probes->Increment();
-      if (!statuses[s].ok()) m.probe_errors->Increment();
-      m.probe_us->Record(static_cast<uint64_t>(timer.ElapsedMicros()));
-      m.probe_docs->Record(parts[s].size());
+      if (!status.ok()) m.probe_errors->Increment();
+      m.probe_us->Record(static_cast<uint64_t>(probe_us));
+      m.probe_docs->Record(part.size());
     }
-  };
-
-  ThreadPool* pool = pool_ != nullptr ? pool_.get()
-                     : options_.threads == 0 ? DefaultPool()
-                                             : nullptr;
-  if (n > 1 && pool != nullptr && pool->width() > 1) {
-    pool->ParallelFor(n, probe);
-  } else {
-    for (size_t s = 0; s < n; ++s) probe(s);
-  }
-
-  QueryResult out;
-  for (size_t s = 0; s < n; ++s) {
-    XSEQ_RETURN_IF_ERROR(statuses[s]);
-    out.stats.Add(part_stats[s]);
-    out.docs.insert(out.docs.end(), parts[s].begin(), parts[s].end());
+    probe_span.End();
+    if (first_error.ok()) first_error = status;
+    if (!first_error.ok()) continue;
+    out.stats.Add(part_stats);
+    out.docs.insert(out.docs.end(), part.begin(), part.end());
     if (options.explain != nullptr) {
       // Attribute this shard's plan rows before merging, and add one
       // fan-out breakdown row so the explain shows where the work went.
-      for (QueryExplain::SeqEntry& e : part_explains[s].seq) {
+      for (QueryExplain::SeqEntry& e : part_explain.seq) {
         if (e.shard < 0) e.shard = static_cast<int32_t>(s);
       }
       QueryExplain::ShardBreakdown row;
       row.shard = static_cast<int32_t>(s);
-      row.docs = parts[s].size();
-      row.entries_read = part_stats[s].match.link_entries_read;
-      row.micros = probe_us[s];
-      part_explains[s].shards.push_back(row);
-      options.explain->Add(part_explains[s]);
+      row.docs = part.size();
+      row.entries_read = part_stats.match.link_entries_read;
+      row.micros = probe_us;
+      part_explain.shards.push_back(row);
+      options.explain->Add(part_explain);
     }
   }
+  XSEQ_RETURN_IF_ERROR(first_error);
   // Shards partition the id space, so this is a disjoint union: sort for
   // the public "sorted, deduplicated" contract; unique is a no-op guard.
   std::sort(out.docs.begin(), out.docs.end());
@@ -440,22 +417,15 @@ StatusOr<ShardedCollection> ShardedCollection::Load(
   out.builders_.clear();
   out.shards_.resize(shard_count);
   std::vector<Status> statuses(shard_count);
-  ThreadPool* pool = out.pool_ != nullptr ? out.pool_.get()
-                     : threads == 0       ? DefaultPool()
-                                          : nullptr;
-  auto load_one = [&](size_t s) {
+  std::unique_ptr<ThreadPool> owned;
+  PoolFor(threads, &owned)->ParallelFor(shard_count, [&](size_t s) {
     auto loaded = LoadCollectionIndex(ShardImagePath(prefix, s), persist);
     if (!loaded.ok()) {
       statuses[s] = loaded.status();
       return;
     }
     out.shards_[s] = std::make_unique<CollectionIndex>(std::move(*loaded));
-  };
-  if (pool != nullptr && pool->width() > 1) {
-    pool->ParallelFor(shard_count, load_one);
-  } else {
-    for (size_t s = 0; s < shard_count; ++s) load_one(s);
-  }
+  });
   for (const Status& st : statuses) XSEQ_RETURN_IF_ERROR(st);
   out.sealed_ = true;
   // The loaded shards carry the options they were built with.

@@ -14,7 +14,7 @@
 //
 // Two backends, chosen at construction:
 //  * static  — documents buffer in per-shard CollectionBuilders; Seal()
-//              builds every shard (in parallel across the scatter pool)
+//              builds every shard (in parallel across the `threads` pool)
 //              and the collection becomes immutable and persistable.
 //  * dynamic — each shard is a DynamicIndex; Add() works forever, Seal()
 //              just flushes buffers into segments.
@@ -58,9 +58,10 @@ struct ShardedOptions {
   bool dynamic = false;           ///< DynamicIndex shards instead of static
   IndexOptions index;             ///< per-shard build options
   size_t flush_threshold = 1024;  ///< dynamic backend: docs per segment
-  /// Scatter-gather parallelism: shards of one query are probed
-  /// concurrently on this pool. 0 = the process default pool, 1 = serial,
-  /// n > 1 = a dedicated pool.
+  /// Set-up parallelism: Seal() builds and Load() reads shards across this
+  /// pool (0 = the process default pool, 1 = serial, n > 1 = a dedicated
+  /// pool; see PoolFor). Queries never use it: each one probes its shards
+  /// in turn on the calling thread.
   int threads = 0;
 };
 
@@ -116,15 +117,15 @@ class ShardedCollection {
   /// Dynamic backend only.
   Status Compact();
 
-  /// Static: builds every shard index (parallel across the pool) and
-  /// freezes the collection. Dynamic: flushes every shard's buffer.
+  /// Static: builds every shard index (parallel across the `threads` pool)
+  /// and freezes the collection. Dynamic: flushes every shard's buffer.
   Status Seal();
 
   /// True once queries are allowed (always, for the dynamic backend).
   bool sealed() const;
 
-  /// Scatter-gather query: every shard is probed (in parallel on the
-  /// pool), per-shard answers are unioned (shards are disjoint by
+  /// Scatter-gather query: every shard is probed in turn on the calling
+  /// thread, per-shard answers are unioned (shards are disjoint by
   /// construction) and per-shard ExecStats are summed.
   StatusOr<QueryResult> Query(std::string_view xpath,
                               const ExecOptions& options = {}) const;
@@ -171,7 +172,6 @@ class ShardedCollection {
   std::vector<std::unique_ptr<CollectionIndex>> shards_;
   /// Dynamic backend.
   std::vector<std::unique_ptr<DynamicIndex>> dynamic_shards_;
-  std::unique_ptr<ThreadPool> pool_;  ///< owned pool when threads > 1
   /// Reusable match scratch for static-shard probes (indirect so the
   /// collection stays movable; the pool itself holds a mutex).
   std::unique_ptr<MatchContextPool> match_contexts_;

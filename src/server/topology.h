@@ -52,7 +52,8 @@ struct CanaryQuery {
 
 /// Hot-swap knobs.
 struct TopologyOptions {
-  /// Scatter-gather width handed to ShardedCollection::Load.
+  /// Shard-load parallelism handed to ShardedCollection::Load (0 = the
+  /// default pool, 1 = serial); queries on the loaded image never fan out.
   int threads = 0;
   PersistOptions persist;
   /// Re-verify every shard file's section checksums before loading. Costs

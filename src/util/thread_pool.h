@@ -3,8 +3,8 @@
 // Width resolution (ResolveThreadCount): an explicit count > 0 wins; 0
 // consults the XSEQ_THREADS environment variable, then
 // std::thread::hardware_concurrency(). Width 1 never spawns a thread —
-// Submit() and ParallelFor() run inline on the caller, which is the
-// bit-exact serial path the rest of the system is specified against.
+// ParallelFor() runs inline on the caller, which is the bit-exact serial
+// path the rest of the system is specified against.
 //
 // ParallelFor uses a shared atomic cursor (dynamic scheduling) and the
 // caller always participates, so the calling thread alone can drain its own
@@ -13,7 +13,8 @@
 // only ever for iterations that are actively executing on some thread.
 //
 // DefaultPool() is the process-wide pool for callers that pass `threads=0`;
-// its width is resolved once, on first use.
+// its width is resolved once, on first use. PoolFor() maps any `threads`
+// knob to a pool by that one rule.
 
 #ifndef XSEQ_SRC_UTIL_THREAD_POOL_H_
 #define XSEQ_SRC_UTIL_THREAD_POOL_H_
@@ -88,34 +89,6 @@ class ThreadPool {
 
   /// Effective width (>= 1). A width-1 pool is the serial path.
   int width() const { return width_; }
-
-  /// Enqueues `fn` for a worker thread; runs it inline when the pool is
-  /// serial. Fire-and-forget: completion is the caller's bookkeeping.
-  void Submit(std::function<void()> fn) {
-    if (width_ <= 1) {
-      // Inline execution still counts as one pool task, so serial
-      // configurations (one-core hosts) surface the same counters.
-      if (obs::MetricsEnabled()) {
-        Timer t;
-        fn();
-        const internal::PoolMetricSet& m = internal::PoolMetrics();
-        m.tasks->Increment();
-        m.task_us->Record(static_cast<uint64_t>(t.ElapsedMicros()));
-      } else {
-        fn();
-      }
-      return;
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      EnsureStartedLocked();
-      queue_.push_back(std::move(fn));
-      if (obs::MetricsEnabled()) {
-        internal::PoolMetrics().queue_depth->Set(queue_.size());
-      }
-    }
-    cv_.notify_one();
-  }
 
   /// Runs fn(i) for every i in [0, n), distributing iterations over the
   /// pool. The caller participates and the call returns only after every
@@ -213,6 +186,15 @@ class ThreadPool {
 inline ThreadPool* DefaultPool() {
   static ThreadPool pool(0);
   return &pool;
+}
+
+/// The pool a `threads` knob names: 0 (or less) = DefaultPool(); n >= 1 = a
+/// pool of width n, created in `*owned` on first call and reused after, so
+/// 1 is a width-1 pool whose ParallelFor runs inline on the caller.
+inline ThreadPool* PoolFor(int threads, std::unique_ptr<ThreadPool>* owned) {
+  if (threads <= 0) return DefaultPool();
+  if (*owned == nullptr) *owned = std::make_unique<ThreadPool>(threads);
+  return owned->get();
 }
 
 /// Sorts `v` with `cmp` using `pool`: equal chunks are sorted in parallel,

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <map>
+#include <memory>
 #include <shared_mutex>
 #include <string>
 #include <thread>
@@ -18,6 +19,9 @@
 #include "src/gen/querygen.h"
 #include "src/gen/synthetic.h"
 #include "src/gen/xmark.h"
+#include "src/obs/metrics.h"
+#include "src/obs/trace.h"
+#include "src/server/sharded_collection.h"
 #include "src/util/thread_pool.h"
 #include "tests/test_util.h"
 
@@ -125,38 +129,18 @@ TEST(ParallelQuery, MatchAndBatchResultsEqualSerial) {
   params.seed = 99;
   SyntheticDataset sampler(params, &names, &values);
   Rng rng(3, 11);
-  std::vector<QueryPattern> patterns;
   std::vector<std::string> xpaths;  // the parseable subset, for QueryBatch
   for (int q = 0; q < 40; ++q) {
     Document sample = sampler.Generate(rng.Uniform(300));
-    patterns.push_back(
-        SampleQueryPattern(sample, names, 2 + rng.Uniform(5), &rng, 0.5));
+    QueryPattern pattern =
+        SampleQueryPattern(sample, names, 2 + rng.Uniform(5), &rng, 0.5);
     // Sampled sources with text() predicates are not XPath-parser syntax;
-    // keep the ones that round-trip for the string entry points.
-    if (ParseXPath(patterns.back().source).ok()) {
-      xpaths.push_back(patterns.back().source);
-    }
+    // keep the ones that round-trip.
+    if (ParseXPath(pattern.source).ok()) xpaths.push_back(pattern.source);
   }
   xpaths.push_back("/e0");
   xpaths.push_back("/e0//e2");
   ASSERT_GE(xpaths.size(), 4u);
-
-  // Per-query match parallelism: identical ids and identical ExecStats.
-  for (const QueryPattern& pattern : patterns) {
-    ExecOptions serial_opts;
-    serial_opts.threads = 1;
-    ExecOptions parallel_opts;
-    parallel_opts.threads = 4;
-    ExecStats sa, sb;
-    auto a = index.executor().ExecutePattern(pattern, &sa, serial_opts);
-    auto b = index.executor().ExecutePattern(pattern, &sb, parallel_opts);
-    ASSERT_TRUE(a.ok()) << pattern.source;
-    ASSERT_TRUE(b.ok()) << pattern.source;
-    EXPECT_EQ(*a, *b) << pattern.source;
-    EXPECT_EQ(sa.matched_sequences, sb.matched_sequences);
-    EXPECT_EQ(sa.match.candidates, sb.match.candidates);
-    EXPECT_EQ(sa.match.link_binary_searches, sb.match.link_binary_searches);
-  }
 
   // Batch parallelism across queries.
   auto batch = index.QueryBatch(xpaths, ExecOptions(), /*threads=*/4);
@@ -193,6 +177,117 @@ TEST(ParallelQuery, FreshImageBuildsElementOrderUnderConcurrentFirstUse) {
     if (!expected->docs.empty()) ++nonempty;
   }
   EXPECT_GT(nonempty, xpaths.size() / 2);
+}
+
+// The spans named `name` in `trace` ran one after another on the thread
+// that started the trace.
+void ExpectProbesInTurn(const obs::Trace& trace, const std::string& name,
+                        size_t want) {
+  std::vector<const obs::TraceSpan*> probes;
+  for (const obs::TraceSpan& s : trace.spans) {
+    if (s.name == name) probes.push_back(&s);
+  }
+  ASSERT_EQ(probes.size(), want) << name;
+  for (size_t i = 0; i < probes.size(); ++i) {
+    EXPECT_EQ(probes[i]->tid, trace.spans[0].tid) << name << " " << i;
+    if (i == 0) continue;
+    EXPECT_GE(probes[i]->start_us, probes[i - 1]->start_us +
+                                       probes[i - 1]->dur_us)
+        << name << " " << i << " overlaps its predecessor";
+  }
+}
+
+TEST(OneThreadPerQuery, ProbesRunInTurnOnTheCallingThread) {
+  // Wide set-up pools everywhere: a 4-shard static and a 4-shard dynamic
+  // collection with `threads = 4`, and a DynamicIndex with a 4-wide build
+  // pool and several segments. A query still runs start to finish on its
+  // caller: no pool task, probe spans in turn on one thread, and the
+  // answers of an unsharded index.
+  std::vector<std::string> specs;
+  for (int i = 0; i < 48; ++i) {
+    switch (i % 4) {
+      case 0:
+        specs.push_back("a(b('v1'),c(d('v2')))");
+        break;
+      case 1:
+        specs.push_back("a(c(b('v1')),e('v3'))");
+        break;
+      case 2:
+        specs.push_back("a(b('v2'),b('v1'))");
+        break;
+      case 3:
+        specs.push_back("a(c(d(b('v5'))))");
+        break;
+    }
+  }
+  IndexOptions serial;
+  serial.threads = 1;
+  CollectionIndex baseline = testing::MakeIndex(specs, serial);
+
+  obs::ScopedMetricsEnabled on(true);
+  obs::Counter* tasks =
+      obs::MetricsRegistry::Default()->GetCounter("xseq.pool.tasks");
+  uint64_t tasks0 = 0;
+  {
+    auto build_sharded = [&](bool dynamic) {
+      ShardedOptions opts;
+      opts.shards = 4;
+      opts.dynamic = dynamic;
+      opts.threads = 4;
+      opts.flush_threshold = 4;
+      auto col = std::make_unique<ShardedCollection>(opts);
+      for (DocId id = 0; id < specs.size(); ++id) {
+        const size_t s = col->ShardOf(id);
+        EXPECT_TRUE(col->Add(testing::MakeDoc(specs[id], col->names(s),
+                                              col->values(s), id))
+                        .ok());
+      }
+      EXPECT_TRUE(col->Seal().ok());
+      return col;
+    };
+    std::unique_ptr<ShardedCollection> sharded[] = {build_sharded(false),
+                                                    build_sharded(true)};
+
+    DynamicOptions dopts;
+    dopts.index.threads = 4;
+    dopts.flush_threshold = 8;
+    DynamicIndex dyn(dopts);
+    for (DocId id = 0; id < specs.size(); ++id) {
+      ASSERT_TRUE(
+          dyn.Add(testing::MakeDoc(specs[id], dyn.names(), dyn.values(), id))
+              .ok());
+    }
+    ASSERT_GE(dyn.segment_count(), 2u);
+
+    tasks0 = tasks->value();
+    for (const char* q :
+         {"/a/b", "/a//b", "//b[text='v1']", "/a/*/b", "//d", "//nosuch"}) {
+      SCOPED_TRACE(q);
+      auto want = baseline.Query(q);
+      ASSERT_TRUE(want.ok());
+      for (const auto& col : sharded) {
+        obs::TraceBuilder tb;
+        ExecOptions opts;
+        opts.trace = &tb;
+        opts.trace_parent = tb.StartTrace("query");
+        auto got = col->Query(q, opts);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_EQ(got->docs, want->docs);
+        ExpectProbesInTurn(tb.Finish(), "shard_probe", col->shard_count());
+      }
+      obs::Tracer tracer;
+      ExecOptions opts;
+      opts.tracer = &tracer;
+      auto got = dyn.Query(q, opts);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(*got, want->docs);
+      ExpectProbesInTurn(tracer.Latest(), "segment_probe",
+                         dyn.segment_count());
+    }
+  }
+  // Destroying the backends joined every pool they own, so a task any
+  // query queued has run and been counted by now.
+  EXPECT_EQ(tasks->value(), tasks0);
 }
 
 TEST(DynamicConcurrency, ParallelSealsMatchSerialAnswers) {
@@ -292,8 +387,8 @@ TEST(DynamicConcurrency, QueriesRaceAddsAndFlushes) {
 TEST(DynamicConcurrency, QueriesRaceBufferedUpdatesAndDeletes) {
   // The writer seals inline under the index lock while readers wait on it,
   // and buffered deletes and updates empty the buffer's dictionary for the
-  // next query to rebuild under the same lock. The 4-wide pool probes the
-  // sealed segments of each query in parallel.
+  // next query to rebuild under the same lock. Each query probes the
+  // sealed segments in turn on its reader's thread.
   DynamicOptions opts;
   opts.index.threads = 4;
   opts.flush_threshold = 12;

@@ -686,8 +686,8 @@ TEST(Instrumentation, TracedQueryProducesSpanTree) {
 
 // Five adds seal two segments of two documents and buffer the fifth. A
 // traced query right after them probes every segment and scans only the
-// buffered document, on a serial pool and on a 4-wide one, whose probes
-// run in parallel.
+// buffered document, on a serial pool and on a 4-wide one, which only the
+// seals use.
 void ExpectTracedDynamicQueryShowsSegmentProbes(int threads) {
   SCOPED_TRACE("threads=" + std::to_string(threads));
   DynamicOptions opts;
@@ -789,13 +789,6 @@ TEST(Instrumentation, InjectedFaultsAreCounted) {
 
 TEST(Instrumentation, PoolFeedsRegistry) {
   obs::ScopedMetricsEnabled on(true);
-  const uint64_t tasks0 = CounterValue("xseq.pool.tasks");
-  {
-    // Width-1 pools run inline and still count.
-    ThreadPool serial(1);
-    serial.Submit([] {});
-    EXPECT_EQ(CounterValue("xseq.pool.tasks"), tasks0 + 1);
-  }
   {
     ThreadPool pool(2);
     std::atomic<int> ran{0};
