@@ -249,7 +249,7 @@ class DynamicLateLiteralTest : public ::testing::TestWithParam<ValueMode> {};
 
 TEST_P(DynamicLateLiteralTest, LateLiteralsAnswerExactlyTheirDocuments) {
   DynamicOptions opts;
-  opts.index.threads = 4;  // seals build and queries probe on the pool
+  opts.index.threads = 4;  // only seal and compaction builds use the pool
   opts.index.value_mode = GetParam();
   opts.flush_threshold = 100;  // only explicit seals
   DynamicIndex dyn(opts);
