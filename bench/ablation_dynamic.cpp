@@ -28,9 +28,10 @@ int main(int argc, char** argv) {
   bench::Header("Ablation: dynamic segmented index (" + std::to_string(n) +
                 " XMark records)");
 
-  // Dynamic, incremental ingestion on the default pool. Ingest ends once
-  // every segment is built and counted. Each Add is also timed alone; the
-  // slowest is one that filled the buffer and sealed it.
+  // Dynamic, incremental ingestion: each seal builds inline on this
+  // thread. Ingest ends once every segment is built and counted. Each Add
+  // is also timed alone; the slowest is one that filled the buffer and
+  // sealed it.
   DynamicOptions dopts;
   dopts.flush_threshold = n / 16 + 1;
   DynamicIndex dyn(dopts);
@@ -187,17 +188,16 @@ int main(int argc, char** argv) {
   bench::Note("expected: per-query cost grows with the buffered documents "
               "the oracle scans; mutations stay flat");
 
-  // Seal: on a serial pool, like each ShardedCollection shard. Records
-  // load under a threshold nothing reaches and are compacted into one
-  // segment at each stop; then every round adds 32 fresh records
-  // (generated before the clock starts) and times the Flush() that seals
-  // them. The tables every segment holds grow with the records in.
+  // Seal: inline on this thread, like every build. Records load under a
+  // threshold nothing reaches and are compacted into one segment at each
+  // stop; then every round adds 32 fresh records (generated before the
+  // clock starts) and times the Flush() that seals them. The tables every
+  // segment holds grow with the records in.
   constexpr int kSealRounds = 20;
   constexpr DocId kSealBatch = 32;
   std::printf("\n%-14s %10s %10s %14s\n", "records in", "names", "values",
               "seal (us)");
   DynamicOptions sealopts;
-  sealopts.index.threads = 1;
   sealopts.flush_threshold = std::numeric_limits<size_t>::max();
   DynamicIndex sealing(sealopts);
   XMarkGenerator sgen(params, sealing.names(), sealing.values());

@@ -1,13 +1,14 @@
-// Concurrency scaling harness: build time and batch-query throughput on
-// XMark-like data at 1/2/4/8 threads. Emits one JSON line per thread
+// Concurrency scaling harness: batch-query throughput on XMark-like data
+// at 1/2/4/8 threads over one index. Emits one JSON line per thread
 // configuration (machine-readable scaling record) in addition to the
 // human-readable table.
 //
 //   micro_concurrency [--n=N] [--scale=f] [--queries=Q] [--seed=S]
 //                     [--out=bench/BENCH_concurrency.json]
 //
-// Parallel builds are bit-identical to serial ones, so every config also
-// cross-checks its index node count against the threads=1 baseline.
+// The index is built once, on one thread (a build never fans out), and
+// every row repeats that build's time. A batch runs one query per pool
+// task, so every config also cross-checks its answers against threads=1.
 
 #include <cstdio>
 #include <string>
@@ -52,71 +53,60 @@ int Run(const FlagSet& flags) {
                 " records, " + std::to_string(batch.size()) +
                 " queries/batch, hardware threads: " +
                 std::to_string(ResolveThreadCount(0)) + ")");
-  std::printf("%8s %14s %14s %16s %12s\n", "threads", "build (s)",
-              "batch (ms)", "queries/s", "index nodes");
+  CollectionBuilder builder;
+  XMarkGenerator gen(params, builder.names(), builder.values());
+  Timer build_timer;
+  CollectionIndex idx = bench::BuildStreaming(
+      &builder, [&gen](DocId d) { return gen.Generate(d); }, n);
+  const double build_s = build_timer.ElapsedSeconds();
+  const uint64_t nodes = idx.Stats().trie_nodes;
+  std::printf("build: %.3f s, %llu index nodes\n", build_s,
+              static_cast<unsigned long long>(nodes));
+  std::printf("%8s %14s %16s\n", "threads", "batch (ms)", "queries/s");
 
-  uint64_t baseline_nodes = 0;
-  double base_build = 0.0;
+  std::vector<std::vector<DocId>> serial_docs;
   double base_qps = 0.0;
   for (int threads : {1, 2, 4, 8}) {
-    IndexOptions opts;
-    opts.threads = threads;
-    CollectionBuilder builder(opts);
-    XMarkGenerator gen(params, builder.names(), builder.values());
-    Timer build_timer;
-    CollectionIndex idx = bench::BuildStreaming(
-        &builder, [&gen](DocId d) { return gen.Generate(d); }, n);
-    const double build_s = build_timer.ElapsedSeconds();
-    const uint64_t nodes = idx.Stats().trie_nodes;
-    if (threads == 1) baseline_nodes = nodes;
-    if (nodes != baseline_nodes) {
-      std::fprintf(stderr,
-                   "FATAL: threads=%d built %llu nodes, serial built %llu\n",
-                   threads, static_cast<unsigned long long>(nodes),
-                   static_cast<unsigned long long>(baseline_nodes));
-      return 1;
-    }
-
     // Warm once, then time the batch entry point.
     (void)idx.QueryBatch(batch, ExecOptions(), threads);
     Timer query_timer;
     auto results = idx.QueryBatch(batch, ExecOptions(), threads);
     const double batch_ms = query_timer.ElapsedMillis();
-    size_t failed = 0;
-    for (const auto& r : results) {
-      if (!r.ok()) ++failed;
-    }
-    if (failed != 0) {
-      std::fprintf(stderr, "FATAL: %zu queries failed\n", failed);
-      return 1;
+    for (size_t i = 0; i < results.size(); ++i) {
+      if (!results[i].ok()) {
+        std::fprintf(stderr, "FATAL: %s failed: %s\n", batch[i].c_str(),
+                     results[i].status().ToString().c_str());
+        return 1;
+      }
+      if (threads == 1) serial_docs.push_back(results[i]->docs);
+      if (results[i]->docs != serial_docs[i]) {
+        std::fprintf(stderr, "FATAL: threads=%d answered %s differently\n",
+                     threads, batch[i].c_str());
+        return 1;
+      }
     }
     const double qps =
         batch_ms <= 0.0
             ? 0.0
             : static_cast<double>(batch.size()) / (batch_ms / 1000.0);
-    if (threads == 1) {
-      base_build = build_s;
-      base_qps = qps;
-    }
+    if (threads == 1) base_qps = qps;
 
-    std::printf("%8d %14.3f %14.3f %16.0f %12llu\n", threads, build_s,
-                batch_ms, qps, static_cast<unsigned long long>(nodes));
+    std::printf("%8d %14.3f %16.0f\n", threads, batch_ms, qps);
     std::fprintf(
         out,
         "{\"bench\": \"concurrency\", \"dataset\": \"xmark\", "
         "\"records\": %llu, \"threads\": %d, \"build_seconds\": %.6f, "
         "\"batch_queries\": %zu, \"batch_millis\": %.6f, "
-        "\"queries_per_second\": %.1f, \"build_speedup\": %.3f, "
-        "\"query_speedup\": %.3f, \"index_nodes\": %llu}\n",
+        "\"queries_per_second\": %.1f, \"query_speedup\": %.3f, "
+        "\"index_nodes\": %llu}\n",
         static_cast<unsigned long long>(n), threads, build_s, batch.size(),
-        batch_ms, qps, base_build > 0.0 ? base_build / build_s : 0.0,
-        base_qps > 0.0 ? qps / base_qps : 0.0,
+        batch_ms, qps, base_qps > 0.0 ? qps / base_qps : 0.0,
         static_cast<unsigned long long>(nodes));
   }
   std::fclose(out);
   bench::Note("wrote " + out_path);
-  bench::Note("speedups are relative to threads=1 on this machine; with a "
-              "single hardware core all configs time alike.");
+  bench::Note("query speedups are relative to threads=1 on this machine; "
+              "with a single hardware core all configs time alike.");
   return 0;
 }
 

@@ -40,8 +40,7 @@ int Usage() {
       "usage:\n"
       "  xseq_tool build --out=FILE (--xml=FILE ... [--split=tag,...] |"
       " --gen=xmark|dblp|synthetic --n=N)\n"
-      "              [--sequencer=cs|df|bf] [--values=exact|hashed|chars]"
-      " [--threads=N]\n"
+      "              [--sequencer=cs|df|bf] [--values=exact|hashed|chars]\n"
       "  xseq_tool stats --index=FILE [--q=XPATH ...] [--repeat=N]"
       " [--threads=N] [--json]\n"
       "              # runs the queries (if any), then dumps index size"
@@ -69,11 +68,11 @@ int Usage() {
       " (Theorem 1),\n"
       "              # re-routes by hash, rebuilds and saves\n"
       "\n"
-      "  --threads=N  worker threads for builds, query batches and reshards"
+      "  --threads=N  worker threads for query batches and reshards"
       "\n"
       "               (0 = hardware concurrency / XSEQ_THREADS, 1 = serial);"
-      " a query\n"
-      "               always runs on one thread\n");
+      " a build\n"
+      "               and a query each run on one thread\n");
   return 2;
 }
 
@@ -105,8 +104,6 @@ int Build(const FlagSet& flags, int argc, char** argv) {
   std::string values = flags.GetString("values", "exact");
   if (values == "hashed") options.value_mode = ValueMode::kHashed;
   if (values == "chars") options.value_mode = ValueMode::kCharSequence;
-  options.threads = flags.GetInt("threads", 0);
-  std::printf("threads: %d\n", ResolveThreadCount(options.threads));
 
   CollectionBuilder builder(options);
   Timer timer;

@@ -1,6 +1,7 @@
 #include "src/core/collection_index.h"
 
 #include "src/obs/metrics.h"
+#include "src/util/thread_pool.h"
 #include "src/util/timer.h"
 #include "src/xml/value_chain.h"
 
@@ -123,11 +124,7 @@ Status CollectionBuilder::BeginIndexing() {
   return Status::OK();
 }
 
-Status CollectionBuilder::SequenceDocTo(
-    const Document& doc, std::pair<Sequence, DocId>* slot) const {
-  // Per-document pure: reads only state frozen by BeginIndexing() (path
-  // dictionary, model, sequencer), which is what makes batch sequencing
-  // safe to fan out across the pool.
+Status CollectionBuilder::SequenceInto(const Document& doc) {
   const Document* src = &doc;
   Document expanded(0);
   if (options_.value_mode == ValueMode::kCharSequence) {
@@ -145,49 +142,10 @@ Status CollectionBuilder::SequenceDocTo(
           "streaming passes must supply identical documents");
     }
   }
-  slot->first = sequencer_->Encode(*src, paths);
-  slot->second = src->id();
+  Sequence seq = sequencer_->Encode(*src, paths);
+  total_seq_elements_ += seq.size();
+  buffered_.emplace_back(std::move(seq), src->id());
   return Status::OK();
-}
-
-Status CollectionBuilder::SequenceInto(const Document& doc) {
-  std::pair<Sequence, DocId> slot;
-  XSEQ_RETURN_IF_ERROR(SequenceDocTo(doc, &slot));
-  total_seq_elements_ += slot.first.size();
-  buffered_.push_back(std::move(slot));
-  return Status::OK();
-}
-
-ThreadPool* CollectionBuilder::BuildPool() {
-  return PoolFor(options_.threads, &pool_);
-}
-
-Status CollectionBuilder::SequenceBatch(const std::vector<Document>& docs) {
-  // Sequencing is per-document pure; only the ordered append into
-  // `buffered_` is a merge point, and writing pre-sized slots keeps the
-  // result byte-identical to a serial loop (which a width-1 pool runs).
-  const size_t base = buffered_.size();
-  buffered_.resize(base + docs.size());
-  std::vector<Status> results(docs.size());
-  BuildPool()->ParallelFor(docs.size(), [&](size_t i) {
-    results[i] = SequenceDocTo(docs[i], &buffered_[base + i]);
-  });
-  for (const Status& st : results) {
-    if (!st.ok()) {
-      buffered_.resize(base);
-      return st;
-    }
-  }
-  for (size_t i = base; i < buffered_.size(); ++i) {
-    total_seq_elements_ += buffered_[i].first.size();
-  }
-  return Status::OK();
-}
-
-Status CollectionBuilder::FlushPending() {
-  Status st = SequenceBatch(pending_);
-  pending_.clear();
-  return st;
 }
 
 Status CollectionBuilder::Index(const Document& doc) {
@@ -197,30 +155,19 @@ Status CollectionBuilder::Index(const Document& doc) {
   return SequenceInto(doc);
 }
 
-Status CollectionBuilder::Index(Document&& doc) {
-  if (!indexing_) {
-    return Status::FailedPrecondition("call BeginIndexing() before Index()");
-  }
-  ThreadPool* pool = BuildPool();
-  if (pool->width() <= 1) return SequenceInto(doc);
-  pending_.push_back(std::move(doc));
-  if (pending_.size() >= static_cast<size_t>(pool->width()) * 8) {
-    return FlushPending();
-  }
-  return Status::OK();
-}
-
 StatusOr<CollectionIndex> CollectionBuilder::Finish() && {
   Timer finish_timer;
   if (!indexing_) {
     XSEQ_RETURN_IF_ERROR(BeginIndexing());
   }
-  XSEQ_RETURN_IF_ERROR(FlushPending());
-  XSEQ_RETURN_IF_ERROR(SequenceBatch(retained_));
+  buffered_.reserve(buffered_.size() + retained_.size());
+  for (const Document& doc : retained_) {
+    XSEQ_RETURN_IF_ERROR(SequenceInto(doc));
+  }
 
   TrieBuilder trie;
   if (options_.bulk_load) {
-    XSEQ_RETURN_IF_ERROR(trie.BulkLoad(&buffered_, BuildPool()));
+    XSEQ_RETURN_IF_ERROR(trie.BulkLoad(&buffered_));
   } else {
     for (const auto& [seq, doc] : buffered_) {
       XSEQ_RETURN_IF_ERROR(trie.Insert(seq, doc));

@@ -32,7 +32,6 @@
 #include "src/schema/schema.h"
 #include "src/seq/sequencer.h"
 #include "src/util/status.h"
-#include "src/util/thread_pool.h"
 #include "src/vindex/value_index.h"
 #include "src/xml/name_table.h"
 #include "src/xml/parser.h"
@@ -47,11 +46,6 @@ struct IndexOptions {
   bool bulk_load = true;         ///< sort sequences before insertion
   uint64_t random_seed = 42;     ///< for SequencerKind::kRandom
   bool keep_documents = false;   ///< retain Documents in the built index
-  /// Build parallelism: 0 = the process-wide default pool (XSEQ_THREADS /
-  /// hardware concurrency), 1 = strictly serial, n > 1 = a dedicated pool.
-  /// Parallel builds produce bit-identical indexes; the knob only trades
-  /// wall-clock for cores. Not persisted with the index.
-  int threads = 0;
 };
 
 /// One query answer.
@@ -104,31 +98,19 @@ class CollectionBuilder {
   /// Locks the schema and builds the sequencing model. Call after all
   /// Observe() calls and before Index().
   Status BeginIndexing();
-  /// Phase 2: sequences `doc` and queues it for the trie. Documents must be
-  /// re-supplied identically (same ids) as observed.
+  /// Phase 2: sequences `doc` on the calling thread and queues it for the
+  /// trie; a returned error is about `doc`. Documents must be re-supplied
+  /// identically (same ids) as observed.
   Status Index(const Document& doc);
 
-  /// As above, taking ownership. With a parallel pool the document is
-  /// deferred into a bounded batch that is sequenced across the pool once
-  /// full, so errors may surface on a later Index()/Finish() call rather
-  /// than the offending one.
-  Status Index(Document&& doc);
-
-  /// Builds the index. The builder is consumed.
+  /// Builds the index on the calling thread: sequences the retained
+  /// documents, then bulk loads the trie. The builder is consumed.
   StatusOr<CollectionIndex> Finish() &&;
 
  private:
+  /// Sequences `doc` against the frozen dictionary and model and appends
+  /// it to `buffered_`.
   Status SequenceInto(const Document& doc);
-  /// Sequences `doc` into `slot` touching only frozen shared state (dict,
-  /// model, sequencer); safe to call concurrently for distinct docs/slots.
-  Status SequenceDocTo(const Document& doc,
-                       std::pair<Sequence, DocId>* slot) const;
-  /// Sequences `docs` across the build pool into pre-sized `buffered_`
-  /// slots, preserving their order; on error appends nothing.
-  Status SequenceBatch(const std::vector<Document>& docs);
-  /// Sequences the deferred streaming batch (SequenceBatch) and clears it.
-  Status FlushPending();
-  ThreadPool* BuildPool();
 
   IndexOptions options_;
   std::shared_ptr<NameTable> names_;
@@ -140,8 +122,6 @@ class CollectionBuilder {
   std::shared_ptr<const SequencingModel> model_;
   std::unique_ptr<Sequencer> sequencer_;
   std::vector<std::pair<Sequence, DocId>> buffered_;
-  std::vector<Document> pending_;  ///< streaming docs awaiting batch sequencing
-  std::unique_ptr<ThreadPool> pool_;  ///< owned pool when threads >= 1
   ValueIndexBuilder vindex_;  ///< range-predicate postings, fed by Observe
   uint64_t observed_docs_ = 0;
   uint64_t total_seq_elements_ = 0;

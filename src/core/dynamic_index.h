@@ -30,9 +30,9 @@
 // race freely from many threads. Sealing is inline: the mutation that fills
 // the buffer (or Flush()) builds the segment under the index lock and
 // returns once it is published, so queries wait for the build and never see
-// a half-sealed buffer. `index.threads` sizes the pool each seal's and
-// each compaction's Finish() builds on; a query probes its segments one
-// after another on the calling thread. The one rule callers keep:
+// a half-sealed buffer. A seal or a compaction builds on the thread that
+// runs it, and a query probes its segments one after another on the
+// calling thread: the index owns no thread pool. The one rule callers keep:
 // nothing interns into names()/values() while the index is read. Queries
 // (buffer scans and sealed segments alike) and SaveCompacted() read the
 // shared tables, which are not internally synchronized, so parse or
@@ -58,7 +58,7 @@ namespace xseq {
 
 /// Dynamic-index knobs.
 struct DynamicOptions {
-  IndexOptions index;          ///< per-segment build options (threads: pool width)
+  IndexOptions index;          ///< per-segment build options
   size_t flush_threshold = 1024;  ///< buffered docs before sealing
 };
 
@@ -93,8 +93,7 @@ class DynamicIndex {
   Status Flush();
 
   /// Rebuilds all segments + buffer into a single segment using the
-  /// current global statistics; the rebuild sequences documents across the
-  /// `index.threads` build pool.
+  /// current global statistics, on the calling thread.
   Status Compact();
 
   /// Persists the index as a *static* image: compacts everything into one

@@ -386,13 +386,20 @@ Status TrieBuilder::Insert(const Sequence& seq, DocId doc) {
   return Status::OK();
 }
 
-Status TrieBuilder::BuildSortedRange(const std::pair<Sequence, DocId>* data,
-                                     size_t count,
-                                     std::vector<BuildNode>* pool) {
+Status TrieBuilder::BulkLoad(std::vector<std::pair<Sequence, DocId>>* input) {
+  if (pool_.size() > 1) {
+    return Status::FailedPrecondition(
+        "BulkLoad() needs an empty trie; use Insert() to add to a built one");
+  }
+  std::sort(input->begin(), input->end(),
+            [](const std::pair<Sequence, DocId>& a,
+               const std::pair<Sequence, DocId>& b) {
+              if (a.first != b.first) return a.first < b.first;
+              return a.second < b.second;
+            });
   std::vector<int32_t> stack;  // node ids along the previous sequence
   const Sequence* prev = nullptr;
-  for (size_t r = 0; r < count; ++r) {
-    const Sequence& seq = data[r].first;
+  for (const auto& [seq, doc] : *input) {
     if (seq.empty()) {
       return Status::InvalidArgument("cannot index an empty sequence");
     }
@@ -412,187 +419,20 @@ Status TrieBuilder::BuildSortedRange(const std::pair<Sequence, DocId>* data,
       // In sorted order a reusable child is always covered by the LCP with
       // the previous sequence, so a fresh node is always correct here — no
       // hash probing needed.
-      int32_t id = static_cast<int32_t>(pool->size());
-      pool->push_back(BuildNode{p, -1, -1, {}, -1});
-      BuildNode& par = (*pool)[parent];
+      int32_t id = static_cast<int32_t>(pool_.size());
+      pool_.push_back(BuildNode{p, -1, -1, {}, -1});
+      BuildNode& par = pool_[parent];
       if (par.last_child == -1) {
         par.first_child = id;
       } else {
-        (*pool)[par.last_child].next_sibling = id;
+        pool_[par.last_child].next_sibling = id;
       }
       par.last_child = id;
       stack.push_back(id);
     }
-    (*pool)[stack.back()].docs.push_back(data[r].second);
+    pool_[stack.back()].docs.push_back(doc);
     prev = &seq;
   }
-  return Status::OK();
-}
-
-Status TrieBuilder::BulkLoad(std::vector<std::pair<Sequence, DocId>>* input,
-                             ThreadPool* pool) {
-  auto cmp = [](const std::pair<Sequence, DocId>& a,
-                const std::pair<Sequence, DocId>& b) {
-    if (a.first != b.first) return a.first < b.first;
-    return a.second < b.second;
-  };
-
-  if (pool_.size() > 1 || !child_index_.empty()) {
-    // Incremental bulk into a non-empty trie: existing children may be
-    // reusable beyond the LCP with the previous sequence, so fall back to
-    // hash-probing inserts.
-    if (child_index_stale_) RebuildChildIndex();
-    std::sort(input->begin(), input->end(), cmp);
-    std::vector<int32_t> stack;
-    const Sequence* prev = nullptr;
-    for (auto& [seq, doc] : *input) {
-      if (seq.empty()) {
-        return Status::InvalidArgument("cannot index an empty sequence");
-      }
-      size_t lcp = 0;
-      if (prev != nullptr) {
-        size_t n = std::min(prev->size(), seq.size());
-        while (lcp < n && (*prev)[lcp] == seq[lcp]) ++lcp;
-      }
-      stack.resize(lcp);
-      for (size_t i = lcp; i < seq.size(); ++i) {
-        PathId p = seq[i];
-        if (p == kInvalidPath || p == kEpsilonPath) {
-          return Status::InvalidArgument(
-              "sequence contains an invalid path id");
-        }
-        int32_t parent = stack.empty() ? 0 : stack.back();
-        stack.push_back(FindOrAddChild(parent, p));
-      }
-      pool_[stack.back()].docs.push_back(doc);
-      prev = &seq;
-    }
-    input->clear();
-    return Status::OK();
-  }
-
-  const size_t width =
-      pool == nullptr ? 1 : static_cast<size_t>(pool->width());
-  ParallelSort(pool, input, cmp);
-
-  if (width <= 1 || input->size() < 64) {
-    Status st = BuildSortedRange(input->data(), input->size(), &pool_);
-    if (!st.ok()) return st;
-    child_index_stale_ = pool_.size() > 1;
-    input->clear();
-    return Status::OK();
-  }
-
-  // Split the sorted array into contiguous ranges and build each range as an
-  // independent subtrie on the pool. (Partitioning by first element alone
-  // would be useless for single-rooted corpora — every record sequence
-  // starts with the root path — so ranges are equal-size slices and the
-  // stitch below merges the prefix spine adjacent ranges share.)
-  const size_t n = input->size();
-  const size_t ranges = std::min(width, n);
-  std::vector<size_t> bounds(ranges + 1);
-  for (size_t c = 0; c <= ranges; ++c) bounds[c] = n * c / ranges;
-  struct Local {
-    std::vector<BuildNode> pool;
-    Status status;
-  };
-  std::vector<Local> locals(ranges);
-  pool->ParallelFor(ranges, [&](size_t c) {
-    locals[c].pool.push_back(BuildNode{kInvalidPath, -1, -1, {}, -1});
-    locals[c].status = BuildSortedRange(input->data() + bounds[c],
-                                        bounds[c + 1] - bounds[c],
-                                        &locals[c].pool);
-  });
-  for (const Local& local : locals) {
-    if (!local.status.ok()) return local.status;
-  }
-
-  // Serial stitch. Adjacent ranges overlap only along one root-to-node path:
-  // the LCP of the last sequence of the merged prefix and the first sequence
-  // of the incoming range — i.e. the merged trie's rightmost spine vs the
-  // local trie's leftmost spine. Shared spine nodes merge; every other local
-  // node is appended with remapped child/sibling pointers. Child chains stay
-  // in ascending path order (grafted children sort after everything already
-  // in the chain), so Freeze() emits the same pre-order index as a serial
-  // build.
-  std::vector<int32_t> spine;  // global rightmost spine, by depth
-  for (size_t c = 0; c < ranges; ++c) {
-    std::vector<BuildNode>& L = locals[c].pool;
-    if (L.size() <= 1) continue;
-
-    size_t shared = 0;
-    {
-      int32_t lnode = L[0].first_child;
-      while (lnode != -1 && shared < spine.size() &&
-             pool_[spine[shared]].path == L[lnode].path) {
-        ++shared;
-        lnode = L[lnode].first_child;
-      }
-    }
-
-    std::vector<int32_t> map(L.size(), -1);
-    map[0] = 0;
-    {
-      int32_t lnode = L[0].first_child;
-      for (size_t d = 0; d < shared; ++d) {
-        map[lnode] = spine[d];
-        lnode = L[lnode].first_child;
-      }
-    }
-    const int32_t base = static_cast<int32_t>(pool_.size());
-    {
-      int32_t next_id = base;
-      for (size_t x = 1; x < L.size(); ++x) {
-        if (map[x] == -1) map[x] = next_id++;
-      }
-    }
-    auto remap = [&map](int32_t v) { return v == -1 ? -1 : map[v]; };
-    pool_.reserve(pool_.size() + L.size() - 1 - shared);
-    for (size_t x = 1; x < L.size(); ++x) {
-      if (map[x] < base) continue;  // merged into an existing spine node
-      BuildNode bn{L[x].path, remap(L[x].first_child),
-                   remap(L[x].last_child), std::move(L[x].docs),
-                   remap(L[x].next_sibling)};
-      pool_.push_back(std::move(bn));
-    }
-
-    // Graft the local chain starting at `lchild` (local ids) onto the end
-    // of `gnode`'s child chain.
-    auto graft = [&](int32_t gnode, int32_t lchild) {
-      for (int32_t ch = lchild; ch != -1; ch = L[ch].next_sibling) {
-        int32_t gc = map[ch];
-        BuildNode& g = pool_[gnode];
-        if (g.last_child == -1) {
-          g.first_child = gc;
-        } else {
-          pool_[g.last_child].next_sibling = gc;
-        }
-        g.last_child = gc;
-      }
-    };
-
-    int32_t lnode = L[0].first_child;
-    graft(0, shared == 0 ? lnode : L[lnode].next_sibling);
-    for (size_t d = 0; d < shared; ++d) {
-      BuildNode& ln = L[lnode];
-      int32_t gid = spine[d];
-      pool_[gid].docs.insert(pool_[gid].docs.end(), ln.docs.begin(),
-                             ln.docs.end());
-      int32_t child = ln.first_child;
-      if (d + 1 < shared) {
-        graft(gid, L[child].next_sibling);
-        lnode = child;
-      } else {
-        graft(gid, child);
-      }
-    }
-
-    spine.clear();
-    for (int32_t x = L[0].last_child; x != -1; x = L[x].last_child) {
-      spine.push_back(map[x]);
-    }
-  }
-
   child_index_stale_ = pool_.size() > 1;
   input->clear();
   return Status::OK();

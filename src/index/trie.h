@@ -31,7 +31,6 @@
 #include "src/seq/sequence.h"
 #include "src/util/coding.h"
 #include "src/util/status.h"
-#include "src/util/thread_pool.h"
 #include "src/xml/symbols.h"
 
 namespace xseq {
@@ -210,17 +209,12 @@ class TrieBuilder {
   /// sequences are rejected.
   Status Insert(const Sequence& seq, DocId doc);
 
-  /// Bulk load: sorts (sequence, doc) pairs and inserts them with
-  /// longest-common-prefix reuse — no hash probing, better locality.
-  /// Clears `input`.
-  ///
-  /// With a pool of width > 1 the sort runs in parallel, the sorted array is
-  /// split into contiguous ranges built as independent subtries on the pool,
-  /// and the subtries are stitched serially along the shared prefix spine
-  /// between adjacent ranges. The resulting trie — and the FrozenIndex it
-  /// freezes into — is bit-identical to the serial build.
-  Status BulkLoad(std::vector<std::pair<Sequence, DocId>>* input,
-                  ThreadPool* pool = nullptr);
+  /// Bulk load into a fresh builder, on the calling thread: sorts
+  /// (sequence, doc) pairs and inserts them with longest-common-prefix
+  /// reuse — no hash probing, better locality. Clears `input`. Fails with
+  /// FailedPrecondition when the builder already holds nodes; Insert() adds
+  /// to a built trie.
+  Status BulkLoad(std::vector<std::pair<Sequence, DocId>>* input);
 
   /// Number of trie nodes excluding the virtual root.
   size_t node_count() const { return pool_.size() - 1; }
@@ -238,12 +232,6 @@ class TrieBuilder {
   };
 
   int32_t FindOrAddChild(int32_t parent, PathId path);
-
-  /// Appends the sorted range `data[0..count)` into `pool` (which must hold
-  /// only a root) with LCP-stack reuse and no hash probing. Pure function of
-  /// its arguments; safe to run on many ranges concurrently.
-  static Status BuildSortedRange(const std::pair<Sequence, DocId>* data,
-                                 size_t count, std::vector<BuildNode>* pool);
 
   /// Recomputes child_index_ from the pool (bulk loads skip hash
   /// maintenance; the first Insert afterwards pays for the rebuild).

@@ -107,14 +107,9 @@ ShardedCollection::ShardedCollection(ShardedOptions options)
     : options_(std::move(options)),
       match_contexts_(std::make_unique<MatchContextPool>()) {
   if (options_.shards < 1) options_.shards = 1;
-  // Per-shard builds run serial inside their shard: Seal()'s fan-out over
-  // shards is the parallelism, and a width-1 builder keeps shard builds
-  // bit-stable no matter how that pool schedules them.
-  IndexOptions per_shard = options_.index;
-  per_shard.threads = 1;
   if (options_.dynamic) {
     DynamicOptions dyn;
-    dyn.index = per_shard;
+    dyn.index = options_.index;
     dyn.flush_threshold = options_.flush_threshold;
     dynamic_shards_.reserve(shard_count());
     for (size_t s = 0; s < shard_count(); ++s) {
@@ -123,7 +118,7 @@ ShardedCollection::ShardedCollection(ShardedOptions options)
   } else {
     builders_.reserve(shard_count());
     for (size_t s = 0; s < shard_count(); ++s) {
-      builders_.push_back(std::make_unique<CollectionBuilder>(per_shard));
+      builders_.push_back(std::make_unique<CollectionBuilder>(options_.index));
     }
   }
   if (obs::MetricsEnabled()) {

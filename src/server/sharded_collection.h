@@ -14,8 +14,9 @@
 //
 // Two backends, chosen at construction:
 //  * static  — documents buffer in per-shard CollectionBuilders; Seal()
-//              builds every shard (in parallel across the `threads` pool)
-//              and the collection becomes immutable and persistable.
+//              builds every shard (one shard per task of the `threads`
+//              pool, each on one thread) and the collection becomes
+//              immutable and persistable.
 //  * dynamic — each shard is a DynamicIndex; Add() works forever, Seal()
 //              just flushes buffers into segments.
 //
@@ -59,9 +60,10 @@ struct ShardedOptions {
   IndexOptions index;             ///< per-shard build options
   size_t flush_threshold = 1024;  ///< dynamic backend: docs per segment
   /// Set-up parallelism: Seal() builds and Load() reads shards across this
-  /// pool (0 = the process default pool, 1 = serial, n > 1 = a dedicated
-  /// pool; see PoolFor). Queries never use it: each one probes its shards
-  /// in turn on the calling thread.
+  /// pool, one shard per task (0 = the process default pool, 1 = serial,
+  /// n > 1 = a dedicated pool; see PoolFor). Each shard's build runs on the
+  /// task's thread, so images do not depend on the width. Queries never
+  /// use it: each one probes its shards in turn on the calling thread.
   int threads = 0;
 };
 
@@ -117,8 +119,8 @@ class ShardedCollection {
   /// Dynamic backend only.
   Status Compact();
 
-  /// Static: builds every shard index (parallel across the `threads` pool)
-  /// and freezes the collection. Dynamic: flushes every shard's buffer.
+  /// Static: builds every shard index (one shard per task of the `threads`
+  /// pool) and freezes the collection. Dynamic: flushes every shard's buffer.
   Status Seal();
 
   /// True once queries are allowed (always, for the dynamic backend).

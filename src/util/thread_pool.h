@@ -1,4 +1,7 @@
-// Shared execution layer: a fixed-width, lazily-started thread pool.
+// Shared execution layer: a fixed-width, lazily-started thread pool. It
+// fans out independent units only: shards in ShardedCollection::Seal() and
+// Load(), queries in CollectionIndex::QueryBatch. A single build or query
+// runs start to finish on the thread that calls it.
 //
 // Width resolution (ResolveThreadCount): an explicit count > 0 wins; 0
 // consults the XSEQ_THREADS environment variable, then
@@ -195,42 +198,6 @@ inline ThreadPool* PoolFor(int threads, std::unique_ptr<ThreadPool>* owned) {
   if (threads <= 0) return DefaultPool();
   if (*owned == nullptr) *owned = std::make_unique<ThreadPool>(threads);
   return owned->get();
-}
-
-/// Sorts `v` with `cmp` using `pool`: equal chunks are sorted in parallel,
-/// then merged pairwise. Falls back to std::sort for serial pools or small
-/// inputs. The comparator must be a strict weak order; the result is the
-/// same permutation class std::sort produces (ties between equivalent
-/// elements may land in either order, exactly as with std::sort).
-template <typename T, typename Cmp>
-void ParallelSort(ThreadPool* pool, std::vector<T>* v, Cmp cmp) {
-  const size_t n = v->size();
-  const size_t width =
-      pool == nullptr ? 1 : static_cast<size_t>(pool->width());
-  if (width <= 1 || n < 2048) {
-    std::sort(v->begin(), v->end(), cmp);
-    return;
-  }
-  const size_t chunks = std::min(width, (n + 2047) / 2048);
-  std::vector<size_t> bounds(chunks + 1);
-  for (size_t c = 0; c <= chunks; ++c) bounds[c] = n * c / chunks;
-  pool->ParallelFor(chunks, [&](size_t c) {
-    std::sort(v->begin() + static_cast<ptrdiff_t>(bounds[c]),
-              v->begin() + static_cast<ptrdiff_t>(bounds[c + 1]), cmp);
-  });
-  for (size_t step = 1; step < chunks; step *= 2) {
-    const size_t pairs = (chunks + 2 * step - 1) / (2 * step);
-    pool->ParallelFor(pairs, [&](size_t p) {
-      size_t lo = 2 * step * p;
-      size_t mid = lo + step;
-      if (mid >= chunks) return;
-      size_t hi = std::min(lo + 2 * step, chunks);
-      std::inplace_merge(v->begin() + static_cast<ptrdiff_t>(bounds[lo]),
-                         v->begin() + static_cast<ptrdiff_t>(bounds[mid]),
-                         v->begin() + static_cast<ptrdiff_t>(bounds[hi]),
-                         cmp);
-    });
-  }
 }
 
 }  // namespace xseq

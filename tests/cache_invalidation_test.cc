@@ -26,8 +26,6 @@ using testing::MakeDoc;
 TEST(CacheInvalidation, MutationsAreNeverMaskedByCachedAnswers) {
   DynamicOptions dopts;
   dopts.flush_threshold = 3;
-  dopts.index.threads = 1;  // inline seals: every mutation commits before
-                            // Add() returns, so the oracle sees it too
   auto dyn = std::make_shared<DynamicIndex>(dopts);
 
   ResultCache cache;
@@ -126,7 +124,6 @@ TEST(CacheInvalidation, MutationsAreNeverMaskedByCachedAnswers) {
 TEST(CacheInvalidation, DynamicGenerationBumpsOnEveryMutation) {
   DynamicOptions opts;
   opts.flush_threshold = 100;
-  opts.index.threads = 1;
   DynamicIndex dyn(opts);
   uint64_t g = dyn.generation();
   ASSERT_TRUE(
@@ -209,7 +206,6 @@ TEST(CacheInvalidation, ShardedMutationsAreNeverMaskedByCachedAnswers) {
     opts.dynamic = true;
     opts.flush_threshold = 2;
     opts.threads = 1;
-    opts.index.threads = 1;
     return opts;
   }());
 

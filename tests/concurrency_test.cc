@@ -1,7 +1,9 @@
-// Concurrency tests: the parallel build/query paths must be bit-identical
-// to their serial counterparts, and DynamicIndex must answer queries
-// correctly while other threads mutate it. Pool widths are forced (> 1)
-// so the parallel code runs even on single-core machines.
+// Concurrency tests: the two fan-outs left, shards in a sharded seal and
+// queries in QueryBatch, must be bit-identical to their serial
+// counterparts; a build and a query each run on one thread, queueing no
+// pool task; and DynamicIndex must answer queries correctly while other
+// threads mutate it. Pool widths are forced (> 1) so the parallel code
+// runs even on single-core machines.
 
 #include <gtest/gtest.h>
 
@@ -56,26 +58,17 @@ TEST(ThreadPool, SerialWidthRunsInline) {
   });
 }
 
-TEST(ThreadPool, ParallelSortMatchesStdSort) {
-  ThreadPool pool(4);
-  Rng rng(7, 3);
-  std::vector<uint32_t> v(20000);
-  for (auto& x : v) x = rng.Uniform(1000);
-  std::vector<uint32_t> expected = v;
-  std::sort(expected.begin(), expected.end());
-  ParallelSort(&pool, &v, std::less<uint32_t>());
-  EXPECT_EQ(v, expected);
-}
-
-// Builds the same synthetic collection with the given thread count.
-CollectionIndex BuildSynthetic(int threads, DocId docs) {
+const SyntheticParams kSyntheticParams = [] {
   SyntheticParams params;
   params.identical_percent = 30;
   params.seed = 99;
-  IndexOptions opts;
-  opts.threads = threads;
-  CollectionBuilder builder(opts);
-  SyntheticDataset gen(params, builder.names(), builder.values());
+  return params;
+}();
+
+// Builds `docs` synthetic records into one index.
+CollectionIndex BuildSynthetic(DocId docs) {
+  CollectionBuilder builder;
+  SyntheticDataset gen(kSyntheticParams, builder.names(), builder.values());
   for (DocId d = 0; d < docs; ++d) {
     EXPECT_TRUE(builder.Add(gen.Generate(d)).ok());
   }
@@ -84,50 +77,115 @@ CollectionIndex BuildSynthetic(int threads, DocId docs) {
   return std::move(*index);
 }
 
+// Builds `docs` synthetic records into a static 4-shard collection whose
+// Seal() runs on a pool of width `threads`.
+ShardedCollection SealSyntheticShards(int threads, DocId docs) {
+  ShardedOptions opts;
+  opts.shards = 4;
+  opts.threads = threads;
+  ShardedCollection col(opts);
+  std::vector<std::unique_ptr<SyntheticDataset>> gens;
+  for (size_t s = 0; s < col.shard_count(); ++s) {
+    gens.push_back(std::make_unique<SyntheticDataset>(
+        kSyntheticParams, col.names(s), col.values(s)));
+  }
+  for (DocId d = 0; d < docs; ++d) {
+    EXPECT_TRUE(col.Add(gens[col.ShardOf(d)]->Generate(d)).ok());
+  }
+  EXPECT_TRUE(col.Seal().ok());
+  return col;
+}
+
 TEST(ParallelBuild, RetainedModeBitIdenticalToSerial) {
-  CollectionIndex serial = BuildSynthetic(1, 300);
-  CollectionIndex parallel = BuildSynthetic(4, 300);
-  EXPECT_EQ(serial.Stats().trie_nodes, parallel.Stats().trie_nodes);
-  EXPECT_EQ(serial.Stats().sequence_elements,
-            parallel.Stats().sequence_elements);
-  // The persisted image captures the whole frozen index — byte equality is
-  // the strongest form of "parallelism changed nothing".
-  EXPECT_EQ(EncodeCollectionIndex(serial), EncodeCollectionIndex(parallel));
+  // The one build fan-out: Seal() builds one shard per pool task, each on
+  // its task's thread. The persisted image captures the whole frozen
+  // index, so byte equality per shard is the strongest form of "the
+  // fan-out changed nothing".
+  ShardedCollection serial = SealSyntheticShards(1, 400);
+  ShardedCollection parallel = SealSyntheticShards(4, 400);
+  ASSERT_EQ(parallel.shard_count(), serial.shard_count());
+  for (size_t s = 0; s < serial.shard_count(); ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    ASSERT_NE(serial.shard(s), nullptr);
+    ASSERT_NE(parallel.shard(s), nullptr);
+    EXPECT_GT(serial.shard(s)->Stats().documents, 0u);
+    EXPECT_EQ(EncodeCollectionIndex(*serial.shard(s)),
+              EncodeCollectionIndex(*parallel.shard(s)));
+  }
+}
+
+// Encodes a build of records 0..docs-1 from a `Gen` generator, retained
+// (Add, then Finish) or streamed in two passes (Observe; BeginIndexing and
+// Index; Finish).
+template <typename Gen, typename Params>
+std::string EncodeBuild(const Params& params, ValueMode mode, bool streaming,
+                        DocId docs) {
+  IndexOptions opts;
+  opts.value_mode = mode;
+  CollectionBuilder builder(opts);
+  Gen gen(params, builder.names(), builder.values());
+  for (DocId d = 0; d < docs; ++d) {
+    Status st = streaming ? builder.Observe(gen.Generate(d))
+                          : builder.Add(gen.Generate(d));
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  }
+  if (streaming) {
+    EXPECT_TRUE(builder.BeginIndexing().ok());
+    for (DocId d = 0; d < docs; ++d) {
+      EXPECT_TRUE(builder.Index(gen.Generate(d)).ok());
+    }
+  }
+  auto index = std::move(builder).Finish();
+  EXPECT_TRUE(index.ok()) << index.status().ToString();
+  return index.ok() ? EncodeCollectionIndex(*index) : std::string();
 }
 
 TEST(ParallelBuild, StreamingModeBitIdenticalToSerial) {
-  auto build = [](int threads) {
-    XMarkParams params;
-    params.seed = 5;
-    IndexOptions opts;
-    opts.threads = threads;
-    CollectionBuilder builder(opts);
-    XMarkGenerator gen(params, builder.names(), builder.values());
-    for (DocId d = 0; d < 200; ++d) {
-      EXPECT_TRUE(builder.Observe(gen.Generate(d)).ok());
-    }
-    EXPECT_TRUE(builder.BeginIndexing().ok());
-    for (DocId d = 0; d < 200; ++d) {
-      EXPECT_TRUE(builder.Index(gen.Generate(d)).ok());
-    }
-    auto index = std::move(builder).Finish();
-    EXPECT_TRUE(index.ok());
-    return std::move(*index);
-  };
-  CollectionIndex serial = build(1);
-  CollectionIndex parallel = build(4);
-  EXPECT_EQ(EncodeCollectionIndex(serial), EncodeCollectionIndex(parallel));
+  // Streaming Index() and a retained Finish() sequence through one loop, so
+  // a two-pass build encodes byte for byte as a retained one.
+  XMarkParams xmark;
+  xmark.seed = 5;
+  for (ValueMode mode : {ValueMode::kExact, ValueMode::kHashed,
+                         ValueMode::kCharSequence}) {
+    SCOPED_TRACE("value mode " + std::to_string(static_cast<int>(mode)));
+    EXPECT_EQ(EncodeBuild<SyntheticDataset>(kSyntheticParams, mode, true, 200),
+              EncodeBuild<SyntheticDataset>(kSyntheticParams, mode, false,
+                                            200));
+    EXPECT_EQ(EncodeBuild<XMarkGenerator>(xmark, mode, true, 200),
+              EncodeBuild<XMarkGenerator>(xmark, mode, false, 200));
+  }
+}
+
+TEST(OneThreadPerBuild, BuildsQueueNoPoolTask) {
+  // A retained and a streaming build, and a DynamicIndex's seals and
+  // compaction, each run on the calling thread: no pool runs a task.
+  obs::ScopedMetricsEnabled on(true);
+  obs::Counter* tasks =
+      obs::MetricsRegistry::Default()->GetCounter("xseq.pool.tasks");
+  const uint64_t tasks0 = tasks->value();
+  EXPECT_GT(BuildSynthetic(300).Stats().trie_nodes, 0u);
+  EXPECT_FALSE(EncodeBuild<SyntheticDataset>(kSyntheticParams,
+                                             ValueMode::kExact,
+                                             /*streaming=*/true, 300)
+                   .empty());
+  DynamicOptions opts;
+  opts.flush_threshold = 64;
+  DynamicIndex dyn(opts);
+  SyntheticDataset gen(kSyntheticParams, dyn.names(), dyn.values());
+  for (DocId d = 0; d < 300; ++d) {
+    ASSERT_TRUE(dyn.Add(gen.Generate(d)).ok());
+  }
+  ASSERT_GE(dyn.segment_count(), 4u);
+  ASSERT_TRUE(dyn.Compact().ok());
+  EXPECT_EQ(tasks->value(), tasks0);
 }
 
 TEST(ParallelQuery, MatchAndBatchResultsEqualSerial) {
-  CollectionIndex index = BuildSynthetic(1, 300);
+  CollectionIndex index = BuildSynthetic(300);
 
   NameTable names;
   ValueEncoder values;
-  SyntheticParams params;
-  params.identical_percent = 30;
-  params.seed = 99;
-  SyntheticDataset sampler(params, &names, &values);
+  SyntheticDataset sampler(kSyntheticParams, &names, &values);
   Rng rng(3, 11);
   std::vector<std::string> xpaths;  // the parseable subset, for QueryBatch
   for (int q = 0; q < 40; ++q) {
@@ -156,7 +214,7 @@ TEST(ParallelQuery, MatchAndBatchResultsEqualSerial) {
 TEST(ParallelQuery, FreshImageBuildsElementOrderUnderConcurrentFirstUse) {
   // A decoded image has not built its dictionary's element order yet: the
   // first '//' lookups of eight workers race to build it.
-  CollectionIndex built = BuildSynthetic(1, 300);
+  CollectionIndex built = BuildSynthetic(300);
   auto fresh = DecodeCollectionIndex(EncodeCollectionIndex(built));
   ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
   const std::vector<std::string> shapes = {
@@ -198,11 +256,10 @@ void ExpectProbesInTurn(const obs::Trace& trace, const std::string& name,
 }
 
 TEST(OneThreadPerQuery, ProbesRunInTurnOnTheCallingThread) {
-  // Wide set-up pools everywhere: a 4-shard static and a 4-shard dynamic
-  // collection with `threads = 4`, and a DynamicIndex with a 4-wide build
-  // pool and several segments. A query still runs start to finish on its
-  // caller: no pool task, probe spans in turn on one thread, and the
-  // answers of an unsharded index.
+  // Wide set-up pools: a 4-shard static and a 4-shard dynamic collection
+  // with `threads = 4`, beside a DynamicIndex with several segments. A
+  // query still runs start to finish on its caller: no pool task, probe
+  // spans in turn on one thread, and the answers of an unsharded index.
   std::vector<std::string> specs;
   for (int i = 0; i < 48; ++i) {
     switch (i % 4) {
@@ -220,9 +277,7 @@ TEST(OneThreadPerQuery, ProbesRunInTurnOnTheCallingThread) {
         break;
     }
   }
-  IndexOptions serial;
-  serial.threads = 1;
-  CollectionIndex baseline = testing::MakeIndex(specs, serial);
+  CollectionIndex baseline = testing::MakeIndex(specs);
 
   obs::ScopedMetricsEnabled on(true);
   obs::Counter* tasks =
@@ -249,7 +304,6 @@ TEST(OneThreadPerQuery, ProbesRunInTurnOnTheCallingThread) {
                                                     build_sharded(true)};
 
     DynamicOptions dopts;
-    dopts.index.threads = 4;
     dopts.flush_threshold = 8;
     DynamicIndex dyn(dopts);
     for (DocId id = 0; id < specs.size(); ++id) {
@@ -290,36 +344,12 @@ TEST(OneThreadPerQuery, ProbesRunInTurnOnTheCallingThread) {
   EXPECT_EQ(tasks->value(), tasks0);
 }
 
-TEST(DynamicConcurrency, ParallelSealsMatchSerialAnswers) {
-  SyntheticParams params;
-  params.seed = 41;
-  constexpr DocId kDocs = 160;
-
-  auto run = [&](int threads) {
-    DynamicOptions opts;
-    opts.index.threads = threads;
-    opts.flush_threshold = 32;
-    DynamicIndex dyn(opts);
-    SyntheticDataset gen(params, dyn.names(), dyn.values());
-    for (DocId d = 0; d < kDocs; ++d) {
-      EXPECT_TRUE(dyn.Add(gen.Generate(d)).ok());
-    }
-    EXPECT_TRUE(dyn.Flush().ok());
-    return dyn.TotalIndexNodes();
-  };
-  // A 4-wide pool parallelizes each seal's Finish() but sequences each
-  // segment under the same per-segment statistics as a serial one, so the
-  // total node count is identical.
-  EXPECT_EQ(run(1), run(4));
-}
-
 TEST(DynamicConcurrency, QueriesRaceAddsAndFlushes) {
   SyntheticParams params;
   params.seed = 77;
   constexpr DocId kDocs = 300;
 
   DynamicOptions opts;
-  opts.index.threads = 4;
   opts.flush_threshold = 25;
   DynamicIndex dyn(opts);
 
@@ -364,10 +394,8 @@ TEST(DynamicConcurrency, QueriesRaceAddsAndFlushes) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(dyn.total_documents(), kDocs);
 
-  // Once quiescent, answers equal a serial one-shot reference.
-  IndexOptions ref_opts;
-  ref_opts.threads = 1;
-  CollectionBuilder ref_builder(ref_opts);
+  // Once quiescent, answers equal a one-shot reference.
+  CollectionBuilder ref_builder;
   SyntheticDataset ref_gen(params, ref_builder.names(),
                            ref_builder.values());
   for (DocId d = 0; d < kDocs; ++d) {
@@ -390,14 +418,11 @@ TEST(DynamicConcurrency, QueriesRaceBufferedUpdatesAndDeletes) {
   // next query to rebuild under the same lock. Each query probes the
   // sealed segments in turn on its reader's thread.
   DynamicOptions opts;
-  opts.index.threads = 4;
   opts.flush_threshold = 12;
   DynamicIndex dyn(opts);
-  // A serial twin takes the same schedule and answers for the writer's own
-  // checks.
-  DynamicOptions twin_opts = opts;
-  twin_opts.index.threads = 1;
-  DynamicIndex twin(twin_opts);
+  // A twin that no reader queries takes the same schedule and answers for
+  // the writer's own checks.
+  DynamicIndex twin(opts);
 
   static const char* const kSpecs[] = {
       "a(b('5'),c('17'))",        "a(b('30'),b(c('apple')))",
@@ -515,9 +540,7 @@ TEST(DynamicConcurrency, QueriesRaceBufferedUpdatesAndDeletes) {
 
   // Once quiescent, every text equals a fresh one-shot index over the
   // surviving documents.
-  IndexOptions ref_opts;
-  ref_opts.threads = 1;
-  CollectionBuilder ref_builder(ref_opts);
+  CollectionBuilder ref_builder;
   for (const auto& [id, spec] : live) {
     ASSERT_TRUE(ref_builder
                     .Add(testing::MakeDoc(spec, ref_builder.names(),
@@ -545,7 +568,6 @@ TEST(DynamicConcurrency, WriterInternsWhileSegmentsShareTables) {
   // thread takes no vocabulary lock, so a compaction that read the tables
   // every segment shares would race the interning.
   DynamicOptions opts;
-  opts.index.threads = 4;
   opts.flush_threshold = 8;
   DynamicIndex dyn(opts);
   std::shared_mutex vocab_mu;
@@ -640,11 +662,9 @@ TEST(DynamicConcurrency, WriterInternsWhileSegmentsShareTables) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(dyn.total_documents(), live.size());
 
-  // Once quiescent, every text equals a fresh serial index over the
-  // surviving documents, parsed against its own tables.
-  IndexOptions ref_opts;
-  ref_opts.threads = 1;
-  CollectionBuilder ref_builder(ref_opts);
+  // Once quiescent, every text equals a fresh index over the surviving
+  // documents, parsed against its own tables.
+  CollectionBuilder ref_builder;
   XmlParser ref_parser(ref_builder.names(), ref_builder.values());
   for (const auto& [id, text] : live) {
     auto doc = ref_parser.Parse(text, id);
@@ -666,12 +686,11 @@ TEST(DynamicConcurrency, WriterInternsWhileSegmentsShareTables) {
 }
 
 TEST(DynamicConcurrency, CompactDrainsPendingSeals) {
-  // Every twentieth Add seals inline on a 4-wide pool, so nothing is
-  // pending when Compact() folds the five segments into one.
+  // Every twentieth Add seals inline, so nothing is pending when Compact()
+  // folds the five segments into one.
   SyntheticParams params;
   params.seed = 55;
   DynamicOptions opts;
-  opts.index.threads = 4;
   opts.flush_threshold = 20;
   DynamicIndex dyn(opts);
   SyntheticDataset gen(params, dyn.names(), dyn.values());

@@ -193,7 +193,6 @@ TEST_P(DynamicBufferDictTest, CappedDescendantSeesOnlyLiveBufferedPaths) {
       SCOPED_TRACE(::testing::Message()
                    << "scenario " << scenario << (primed ? ", primed" : ""));
       DynamicOptions opts;
-      opts.index.threads = 1;  // inline seals
       opts.index.value_mode = GetParam();
       opts.flush_threshold = 100;  // only explicit seals
       DynamicIndex dyn(opts);
@@ -241,15 +240,14 @@ INSTANTIATE_TEST_SUITE_P(AllModes, DynamicBufferDictTest,
 // is first interned the older segments resolve it too, though their tries
 // hold no path for it. An element name and an exact text first seen after
 // two segments sealed must answer exactly the live documents carrying them
-// while buffered, right after the Flush() that seals them inline on a
-// 4-wide pool, with a second copy buffered, after a delete and after
-// Compact(). Each text runs once before the literals exist, so the
-// plan cache holds the old segments' plans from then on.
+// while buffered, right after the Flush() that seals them inline, with a
+// second copy buffered, after a delete and after Compact(). Each text
+// runs once before the literals exist, so the plan cache holds the old
+// segments' plans from then on.
 class DynamicLateLiteralTest : public ::testing::TestWithParam<ValueMode> {};
 
 TEST_P(DynamicLateLiteralTest, LateLiteralsAnswerExactlyTheirDocuments) {
   DynamicOptions opts;
-  opts.index.threads = 4;  // only seal and compaction builds use the pool
   opts.index.value_mode = GetParam();
   opts.flush_threshold = 100;  // only explicit seals
   DynamicIndex dyn(opts);

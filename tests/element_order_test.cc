@@ -342,7 +342,6 @@ CollectionIndex BuildCorpus(Corpus corpus, ValueMode mode) {
   IndexOptions opts;
   opts.value_mode = mode;
   opts.keep_documents = true;
-  opts.threads = 1;
   if (corpus == Corpus::kDepthFirst) {
     opts.sequencer = SequencerKind::kDepthFirst;
   }

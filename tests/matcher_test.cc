@@ -112,6 +112,20 @@ TEST_F(MatcherTest, InsertAndBulkLoadProduceSameShape) {
     return std::make_pair(idx.node_count(), idx.total_docs());
   };
   EXPECT_EQ(shape(specs, false), shape(specs, true));
+
+  // A bulk load fills a fresh builder only; Insert() adds to a built trie.
+  NameTable names;
+  ValueEncoder values;
+  PathDict dict;
+  Document doc = MakeDoc(specs[0], &names, &values, 0);
+  Sequence seq = DepthFirstSequencer().Encode(doc, BindPaths(doc, &dict));
+  TrieBuilder builder;
+  std::vector<std::pair<Sequence, DocId>> input = {{seq, 0}};
+  ASSERT_TRUE(builder.BulkLoad(&input).ok());
+  input = {{seq, 1}};
+  EXPECT_TRUE(builder.BulkLoad(&input).IsFailedPrecondition());
+  EXPECT_TRUE(builder.Insert(seq, 1).ok());
+  EXPECT_EQ(std::move(builder).Freeze().total_docs(), 2u);
 }
 
 TEST_F(MatcherTest, PathLinksAscendingAndComplete) {

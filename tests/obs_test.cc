@@ -686,13 +686,10 @@ TEST(Instrumentation, TracedQueryProducesSpanTree) {
 
 // Five adds seal two segments of two documents and buffer the fifth. A
 // traced query right after them probes every segment and scans only the
-// buffered document, on a serial pool and on a 4-wide one, which only the
-// seals use.
-void ExpectTracedDynamicQueryShowsSegmentProbes(int threads) {
-  SCOPED_TRACE("threads=" + std::to_string(threads));
+// buffered document.
+TEST(Instrumentation, TracedDynamicQueryShowsSegmentProbes) {
   DynamicOptions opts;
   opts.flush_threshold = 2;  // two docs per sealed segment
-  opts.index.threads = threads;
   DynamicIndex dyn(opts);
   for (int d = 0; d < 5; ++d) {
     Document doc = testing::MakeDoc("P(R(L('v" + std::to_string(d % 2) +
@@ -735,14 +732,6 @@ void ExpectTracedDynamicQueryShowsSegmentProbes(int threads) {
   // Each probe runs the regular executor attached to this trace, so every
   // segment contributes its own compile/match subtree under its probe span.
   EXPECT_EQ(matches, probes);
-}
-
-TEST(Instrumentation, TracedDynamicQueryShowsSegmentProbes) {
-  ExpectTracedDynamicQueryShowsSegmentProbes(1);
-}
-
-TEST(Instrumentation, TracedDynamicQueryShowsSegmentProbesOnAWidePool) {
-  ExpectTracedDynamicQueryShowsSegmentProbes(4);
 }
 
 TEST(Instrumentation, UntracedQueryRecordsNoTrace) {

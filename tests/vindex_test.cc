@@ -533,7 +533,6 @@ TEST(VindexPersistTest, InspectReportsVindexSection) {
 DynamicOptions SerialDynamicOptions(size_t flush_threshold,
                                     ValueMode mode = ValueMode::kExact) {
   DynamicOptions opts;
-  opts.index.threads = 1;
   opts.index.value_mode = mode;
   opts.flush_threshold = flush_threshold;
   return opts;
@@ -755,7 +754,6 @@ TEST_P(MutationDifferentialTest, ShardedDynamicCollection) {
   opts.dynamic = true;
   opts.flush_threshold = 4;
   opts.threads = 1;
-  opts.index.threads = 1;
   opts.index.value_mode = GetParam();
   ShardedCollection coll(opts);
   MutableBackend b;
