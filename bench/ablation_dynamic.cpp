@@ -94,19 +94,19 @@ int main(int argc, char** argv) {
     return ref.executor().ExecutePattern(p).ok();
   });
 
-  std::printf("%-22s %12s %14s %14s\n", "configuration", "build (s)",
+  std::printf("%-22s %12s %14s %14s\n", "configuration", "build (ms)",
               "index nodes", "query (us)");
-  std::printf("%-22s %12.2f %14llu %14.1f\n",
+  std::printf("%-22s %12.0f %14llu %14.1f\n",
               ("dynamic, " + std::to_string(seg_count) + " segments")
                   .c_str(),
-              dyn_build_s, static_cast<unsigned long long>(seg_nodes),
+              dyn_build_s * 1e3, static_cast<unsigned long long>(seg_nodes),
               seg_us);
-  std::printf("%-22s %12.2f %14llu %14.1f\n", "dynamic, compacted",
-              compact_s,
+  std::printf("%-22s %12.0f %14llu %14.1f\n", "dynamic, compacted",
+              compact_s * 1e3,
               static_cast<unsigned long long>(dyn.TotalIndexNodes()),
               compacted_us);
-  std::printf("%-22s %12.2f %14llu %14.1f\n", "one-shot reference",
-              ref_build_s,
+  std::printf("%-22s %12.0f %14llu %14.1f\n", "one-shot reference",
+              ref_build_s * 1e3,
               static_cast<unsigned long long>(ref.Stats().trie_nodes),
               ref_us);
   std::printf("dynamic ingest: %.3f s, slowest single Add %.2f ms\n",

@@ -7,7 +7,6 @@
 //   xseq_tool query --index=my.idx --q="/site//person/*/age[text='32']"
 //   xseq_tool trace --index=my.idx --q=XPATH [--out=trace.json]
 //   xseq_tool verify my.idx
-//   xseq_tool replicate --from=PREFIX --to=PREFIX     # ship sharded images
 //   xseq_tool reshard --in=PREFIX --out=PREFIX --shards=M
 
 #include <cstdio>
@@ -56,12 +55,6 @@ int Usage() {
       " Chrome JSON\n"
       "  xseq_tool verify FILE   # per-section integrity report; exit 1 on"
       " any failure\n"
-      "  xseq_tool replicate --from=PREFIX --to=PREFIX\n"
-      "              # copies a saved sharded collection shard-by-shard,"
-      " re-verifying every\n"
-      "              # image's checksums; the manifest lands last, so the"
-      " replica is never\n"
-      "              # discoverable half-shipped\n"
       "  xseq_tool reshard --in=PREFIX --out=PREFIX --shards=M"
       " [--threads=N]\n"
       "              # N->M reshard: recovers every document from the tries"
@@ -498,63 +491,6 @@ int Verify(const FlagSet& flags, int argc, char** argv) {
   return 0;
 }
 
-int Replicate(const FlagSet& flags) {
-  const std::string from = flags.GetString("from", "");
-  const std::string to = flags.GetString("to", "");
-  if (from.empty() || to.empty()) return Usage();
-  if (from == to) {
-    std::fprintf(stderr, "--from and --to are the same prefix\n");
-    return 1;
-  }
-
-  auto manifest = ReadShardedManifest(from);
-  if (!manifest.ok()) {
-    std::fprintf(stderr, "%s\n", manifest.status().ToString().c_str());
-    return 1;
-  }
-  Env* env = Env::Default();
-  Timer timer;
-  uint64_t bytes = 0;
-  for (uint32_t s = 0; s < manifest->shard_count; ++s) {
-    std::string data;
-    Status read = env->ReadFileToString(ShardImagePath(from, s), &data);
-    if (!read.ok()) {
-      std::fprintf(stderr, "shard %u: %s\n", s, read.ToString().c_str());
-      return 1;
-    }
-    // Never ship a corrupt image: a replica target must be swappable-in
-    // as-is, so every section checksum is re-verified at the source.
-    IndexFileReport report = InspectEncodedIndex(data);
-    if (!report.status.ok()) {
-      std::fprintf(stderr, "shard %u failed verification: %s\n", s,
-                   report.status.ToString().c_str());
-      return 1;
-    }
-    Status wrote = AtomicWriteFile(env, ShardImagePath(to, s), data);
-    if (!wrote.ok()) {
-      std::fprintf(stderr, "shard %u: %s\n", s, wrote.ToString().c_str());
-      return 1;
-    }
-    bytes += data.size();
-  }
-  // The manifest travels last: a crash mid-replication leaves the target
-  // prefix unloadable (or the complete previous replica), never half-new.
-  std::string manifest_bytes;
-  Status read = env->ReadFileToString(from, &manifest_bytes);
-  if (read.ok()) read = AtomicWriteFile(env, to, manifest_bytes);
-  if (!read.ok()) {
-    std::fprintf(stderr, "manifest: %s\n", read.ToString().c_str());
-    return 1;
-  }
-  std::printf("replicated %u shard(s), %llu documents, %llu bytes -> %s"
-              " (%.2f s)\n",
-              manifest->shard_count,
-              static_cast<unsigned long long>(manifest->total_documents),
-              static_cast<unsigned long long>(bytes + manifest_bytes.size()),
-              to.c_str(), timer.ElapsedSeconds());
-  return 0;
-}
-
 int Reshard(const FlagSet& flags) {
   const std::string in = flags.GetString("in", "");
   const std::string out = flags.GetString("out", "");
@@ -598,7 +534,6 @@ int main(int argc, char** argv) {
   if (cmd == "explain") return Explain(flags);
   if (cmd == "trace") return TraceQuery(flags);
   if (cmd == "verify") return Verify(flags, argc, argv);
-  if (cmd == "replicate") return Replicate(flags);
   if (cmd == "reshard") return Reshard(flags);
   return Usage();
 }

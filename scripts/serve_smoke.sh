@@ -3,7 +3,8 @@
 # ephemeral port with the observability plane on (Prometheus scrape port,
 # structured access log), drive it with the real client binary (ping, a
 # query whose answer size is known, a query with --explain, the metrics
-# dump, a raw HTTP scrape of /metrics), hot-swap the serving generation
+# dump, a query traced with --trace_out, a raw HTTP scrape of /metrics),
+# hot-swap the serving generation
 # under live query load (xseq_client reload + SIGHUP), check that a second
 # daemon refuses to start over the live port file and that a reload of a
 # bogus image leaves the old generation serving, then SIGTERM it and
@@ -41,6 +42,7 @@ CLIENT="./$BUILD_DIR/examples/example_xseq_client"
 PORT_FILE="$(mktemp -u /tmp/xseq_serve_port.XXXXXX)"
 PROM_PORT_FILE="$(mktemp -u /tmp/xseq_prom_port.XXXXXX)"
 ACCESS_LOG="$(mktemp -u /tmp/xseq_access_log.XXXXXX)"
+TRACE_OUT="$(mktemp -u /tmp/xseq_trace.XXXXXX)"
 LOG="$(mktemp /tmp/xseq_serve_log.XXXXXX)"
 IMG_DIR="$(mktemp -d /tmp/xseq_serve_img.XXXXXX)"
 MUT_PORT_FILE="$(mktemp -u /tmp/xseq_mut_port.XXXXXX)"
@@ -51,6 +53,7 @@ cleanup() {
   [[ -n "$SERVE_PID" ]] && kill -9 "$SERVE_PID" 2>/dev/null || true
   [[ -n "$MUT_PID" ]] && kill -9 "$MUT_PID" 2>/dev/null || true
   rm -f "$PORT_FILE" "$PROM_PORT_FILE" "$ACCESS_LOG" "$ACCESS_LOG.1" "$LOG"
+  rm -f "$TRACE_OUT"
   rm -f "$MUT_PORT_FILE" "$MUT_LOG"
   rm -rf "$IMG_DIR"
 }
@@ -132,6 +135,21 @@ echo "$EXPLAIN_OUT" | grep -q 'sequence(s)' \
 echo "$EXPLAIN_OUT" | grep -q 'shard 2:' \
   || { echo "serve_smoke.sh: --explain missing shard breakdown" >&2; exit 1; }
 echo "serve_smoke.sh: query --explain ok"
+
+# query --trace_out writes one stitched Chrome trace: the client's
+# client_query root and rpc span with the server's serve tree grafted
+# under it, down to one shard_probe per shard. Again a text no other leg
+# sends, so the query misses the result cache and probes the shards.
+"$CLIENT" query --port="$PORT" --q='/site//person/*/age'   --trace_out="$TRACE_OUT" | grep -q '^trace [1-9]'   || { echo "serve_smoke.sh: query --trace_out printed no trace id" >&2
+       exit 1; }
+for span in client_query rpc serve shard_probe; do
+  grep -q "\"name\":\"$span\"" "$TRACE_OUT" || {
+    echo "serve_smoke.sh: --trace_out trace has no $span span" >&2
+    cat "$TRACE_OUT" >&2
+    exit 1
+  }
+done
+echo "serve_smoke.sh: query --trace_out ok"
 
 # The metrics op returns the Prometheus text exposition over the wire.
 METRICS_OUT="$("$CLIENT" metrics --port="$PORT")"
@@ -357,7 +375,7 @@ if [[ "$RC" -ne 0 ]]; then
   exit 1
 fi
 
-echo "serve_smoke.sh: ok (ping/query/--explain/stats + metrics op +" \
-  "prometheus scrape + access log + double-start refusal + hot swap" \
-  "under load + failed-reload rollback + SIGHUP + SIGTERM drain +" \
+echo "serve_smoke.sh: ok (ping/query/--explain/--trace_out/stats +" \
+  "metrics op + prometheus scrape + access log + double-start refusal +" \
+  "hot swap under load + failed-reload rollback + SIGHUP + SIGTERM drain +" \
   "wire delete/update/compact against the dynamic backend)"

@@ -42,8 +42,6 @@ std::string BuildPlanCacheKey(const ExecOptions& o) {
   put(o.instantiate.max_instantiations);
   put(o.isomorph.max_orderings);
   put(o.plan.selectivity ? 1 : 0);
-  put(o.plan.max_predicted_cost);
-  put(o.plan.exact_fallback ? 1 : 0);
   return key;
 }
 
@@ -143,28 +141,10 @@ StatusOr<CompiledQuery> QueryExecutor::CompileInternal(
   {
     obs::SpanScope expand_span(options.trace, "expand_orderings",
                                compile_span.id());
-    size_t cost_capped = 0;
     for (const ConcreteQuery& cq : inst->queries) {
-      IsomorphOptions iso_opts = options.isomorph;
-      if (options.plan.max_predicted_cost > 0) {
-        // Predicted cost of keeping this tree exact: orderings times the
-        // estimated per-ordering match work. With exact_fallback the budget
-        // is advisory; without it the ordering cap is clamped to fit.
-        const uint64_t budget = options.plan.max_predicted_cost;
-        const uint64_t per =
-            std::max<uint64_t>(1, planner.EstimatedMatchCost(cq));
-        const uint64_t orderings =
-            QueryPlanner::PredictedOrderings(cq, budget);
-        if (orderings > budget / per && !options.plan.exact_fallback) {
-          iso_opts.max_orderings =
-              std::min<uint64_t>(iso_opts.max_orderings,
-                                 std::max<uint64_t>(1, budget / per));
-          ++cost_capped;
-        }
-      }
       {
         // Predicted match work for the explain record: orderings × estimated
-        // per-ordering entries, unsaturated by the budget above.
+        // per-ordering entries.
         const uint64_t per = planner.EstimatedMatchCost(cq);
         const uint64_t n = QueryPlanner::PredictedOrderings(cq, UINT64_MAX);
         const uint64_t tree_cost =
@@ -173,7 +153,7 @@ StatusOr<CompiledQuery> QueryExecutor::CompileInternal(
                                  ? UINT64_MAX
                                  : out.predicted_cost + tree_cost;
       }
-      IsomorphResult iso = ExpandIsomorphisms(cq, iso_opts);
+      IsomorphResult iso = ExpandIsomorphisms(cq, options.isomorph);
       out.orderings += iso.queries.size();
       out.truncated = out.truncated || iso.truncated;
       for (const ConcreteQuery& ordered : iso.queries) {
@@ -189,7 +169,6 @@ StatusOr<CompiledQuery> QueryExecutor::CompileInternal(
     }
     expand_span.Annotate("orderings", out.orderings);
     expand_span.Annotate("deduped_sequences", out.sequences.size());
-    if (cost_capped > 0) expand_span.Annotate("cost_capped", cost_capped);
   }
   return out;
 }

@@ -46,7 +46,7 @@ struct ExecOptions {
   MatchMode mode = MatchMode::kConstraint;
   InstantiateOptions instantiate;
   IsomorphOptions isomorph;
-  /// Planner knobs (selectivity pruning, expansion cost cap, plan cache —
+  /// Planner knobs (selectivity pruning and ordering, plan cache —
   /// see src/query/planner.h). The compiled-query cache engages only when
   /// `plan.cache_key` is set; Execute() keys by the query text, so callers
   /// going through it get caching for free, while direct ExecutePattern
@@ -165,7 +165,7 @@ class QueryExecutor {
 
   /// Compiles `pattern` into the deduplicated query sequences that would be
   /// matched (exposed for tests, baselines and benchmarks). Applies the
-  /// planner (pruning, cost cap, selectivity ordering) but never the plan
+  /// planner (pruning, selectivity ordering) but never the plan
   /// cache — callers wanting cached compilation go through ExecutePattern
   /// with `options.plan.cache_key` set.
   StatusOr<std::vector<QuerySeq>> Compile(const QueryPattern& pattern,

@@ -11,14 +11,6 @@
 //     occurrences in the target index cannot contribute a match, so the
 //     candidate is dropped before the ordering expansion fans out. Exact —
 //     an empty link means zero terminals, so results are bit-identical.
-//   * expansion cost capping: the number of orderings a concrete tree
-//     expands into is the product of factorials of its identical-sibling
-//     group sizes; multiplied by the tree's estimated match cost (sum of
-//     link cardinalities, doubled for paths the schema marks repeatable,
-//     since those need sibling-cover checks) this predicts the work of
-//     keeping the tree exact. Trees over budget either fall back to exact
-//     expansion anyway (exact_fallback, the default) or get their ordering
-//     cap clamped (approximate: sets `truncated`).
 //   * selectivity ordering: each compiled sequence's most selective
 //     position (minimum link cardinality, the last such position — the
 //     anchor Algorithm 1 steers by, see AnchorPosition) is computed;
@@ -57,14 +49,6 @@ struct PlanOptions {
   /// pruning + zero-anchor skipping + most-selective-first ordering).
   /// These never change results; off reproduces the pre-planner pipeline.
   bool selectivity = true;
-  /// Predicted-cost budget for isomorphism expansion of one concrete tree:
-  /// orderings × estimated match cost. 0 disables the cap.
-  uint64_t max_predicted_cost = 1u << 20;
-  /// When a tree exceeds max_predicted_cost: true (default) expands it
-  /// fully anyway — the cap becomes advisory and results stay bit-identical;
-  /// false clamps the tree's ordering cap to fit the budget and sets
-  /// `truncated` (results may miss permuted-sibling matches).
-  bool exact_fallback = true;
   /// Compiled-query cache; null disables plan caching. Only consulted when
   /// `cache_key` is set (Execute() keys by query text; pattern-level entry
   /// points opt in by supplying a key whose text identifies the query).
@@ -84,9 +68,9 @@ struct CompiledQuery {
   size_t pruned = 0;          ///< zero-cardinality candidates/sequences cut
   bool truncated = false;     ///< an enumeration cap was hit
   /// Planner-predicted match work (sum over concrete trees of orderings ×
-  /// estimated per-ordering entries, saturating) — the number the cost cap
-  /// compared against its budget. Stored so a plan-cache hit replays the
-  /// same explain output as a fresh compile.
+  /// estimated per-ordering entries, saturating), reported by explain.
+  /// Stored so a plan-cache hit replays the same explain output as a fresh
+  /// compile.
   uint64_t predicted_cost = 0;
 
   /// Approximate heap footprint, used for cache byte accounting.

@@ -97,14 +97,6 @@ class XseqClient {
   /// segments; returns the generation after compaction.
   StatusOr<uint64_t> Compact();
 
-  /// Raw request/response round trip: stamps `req` with the next request
-  /// id and validates the response's id/op echo. The transport/protocol
-  /// outcome is the StatusOr; the remote call's own outcome is the
-  /// response's `status` field. FailoverClient needs the two kept apart (a
-  /// dead socket is retryable, a remote parse error is not); the typed
-  /// wrappers above flatten them for everyone else.
-  StatusOr<WireResponse> Call(WireRequest req);
-
   /// Sink for client-side query traces (nullptr = tracing off). Not owned;
   /// must outlive the client.
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
@@ -114,6 +106,11 @@ class XseqClient {
  private:
   explicit XseqClient(std::unique_ptr<Connection> conn)
       : conn_(std::move(conn)) {}
+
+  /// One request/response round trip: stamps `req` with the next request
+  /// id and validates the response's id/op echo. The transport outcome is
+  /// the StatusOr, the remote call's own outcome the response's `status`.
+  StatusOr<WireResponse> Call(WireRequest req);
 
   std::unique_ptr<Connection> conn_;
   uint64_t next_id_ = 1;

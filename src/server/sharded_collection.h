@@ -71,7 +71,7 @@ struct ShardedOptions {
 size_t ShardOfDoc(DocId id, size_t shards);
 
 /// Per-shard image path of a saved sharded collection: "<prefix>.shard<K>".
-/// Shared by Save/Load, the replica-shipping tool and topology validation.
+/// Shared by Save/Load and topology validation.
 std::string ShardImagePath(const std::string& prefix, size_t shard);
 
 /// The decoded manifest of a saved sharded collection.
@@ -82,7 +82,7 @@ struct ShardedManifest {
 
 /// Reads and validates the manifest at `prefix`: magic, whole-manifest
 /// checksum, version, plausible shard count. This is the cheap first step
-/// of both Load() and offline image validation (replication, hot-swap).
+/// of both Load() and the hot-swap's offline image validation.
 StatusOr<ShardedManifest> ReadShardedManifest(
     const std::string& prefix, const PersistOptions& persist = {});
 

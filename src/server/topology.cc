@@ -98,10 +98,8 @@ StatusOr<uint64_t> TopologyManager::Reload(const std::string& prefix) {
   // into serving memory yet.
   auto manifest = ReadShardedManifest(prefix, options_.persist);
   if (!manifest.ok()) return fail(manifest.status());
-  if (options_.verify_images) {
-    Status verified = VerifyImages(prefix, manifest->shard_count);
-    if (!verified.ok()) return fail(verified);
-  }
+  Status verified = VerifyImages(prefix, manifest->shard_count);
+  if (!verified.ok()) return fail(verified);
 
   // Step 2: load the candidate next to the live generation.
   auto loaded =

@@ -5,9 +5,9 @@
 // request:
 //
 //  1. Validate the on-disk image offline: manifest magic/checksum/version,
-//     then (optionally) every shard file's per-section checksums via the
-//     single-index inspector — a corrupt byte anywhere names the shard and
-//     aborts before any memory is committed.
+//     then every shard file's per-section checksums via the single-index
+//     inspector — a corrupt byte anywhere names the shard and aborts
+//     before any memory is committed.
 //  2. Load the candidate collection into memory, next to the live one.
 //  3. Canary it: a configurable query set runs against the *candidate*
 //     only. A canary that errors — or returns a doc count different from
@@ -56,10 +56,6 @@ struct TopologyOptions {
   /// default pool, 1 = serial); queries on the loaded image never fan out.
   int threads = 0;
   PersistOptions persist;
-  /// Re-verify every shard file's section checksums before loading. Costs
-  /// one extra read pass per shard; catches torn/corrupt replicas with a
-  /// shard-naming error instead of a mid-load failure.
-  bool verify_images = true;
   std::vector<CanaryQuery> canaries;
 };
 

@@ -2,8 +2,8 @@
 // explain sections, the Prometheus text
 // exposition and its HTTP scrape endpoint, the structured request log
 // (tail-sampling policy, rotation), and the acceptance scenario — one
-// stitched trace, with a single trace id, spanning a FailoverClient
-// attempt, the server's queue wait, and per-shard probe spans of a
+// stitched trace, with a single trace id, spanning an XseqClient round
+// trip, the server's queue wait, and per-shard probe spans of a
 // three-shard collection.
 
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@
 #include "src/obs/request_log.h"
 #include "src/obs/trace.h"
 #include "src/server/client.h"
-#include "src/server/failover_client.h"
 #include "src/server/protocol.h"
 #include "src/server/scrape_server.h"
 #include "src/server/server.h"
@@ -441,8 +440,8 @@ TEST(RequestLogTest, RotationBoundsTheFootprint) {
 }
 
 // ---------------------------------------------------------------------------
-// The acceptance scenario: one stitched trace across FailoverClient,
-// server queue, and per-shard probes of a three-shard collection.
+// The acceptance scenario: one stitched trace across XseqClient's rpc,
+// the server queue, and per-shard probes of a three-shard collection.
 
 TEST(StitchedTraceTest, OneTraceIdFromClientAttemptToShardProbes) {
   MemorySocketEnv env;
@@ -460,12 +459,11 @@ TEST(StitchedTraceTest, OneTraceIdFromClientAttemptToShardProbes) {
   ASSERT_TRUE(server.Start().ok());
 
   obs::Tracer client_ring(8);
-  FailoverOptions fopts;
-  fopts.socket_env = &env;
-  fopts.tracer = &client_ring;
-  FailoverClient client({{"mem", server.port()}}, fopts);
+  auto client = XseqClient::Connect("mem", server.port(), &env);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  client->set_tracer(&client_ring);
 
-  auto r = client.Query("/a//b", 0, /*want_explain=*/true);
+  auto r = client->Query("/a//b", 0, /*want_explain=*/true);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->docs, col->Query("/a//b")->docs);
   EXPECT_NE(r->trace_id, 0u);
@@ -480,14 +478,14 @@ TEST(StitchedTraceTest, OneTraceIdFromClientAttemptToShardProbes) {
     EXPECT_TRUE(s.closed) << s.name;
   }
   EXPECT_EQ(names.count("client_query"), 1u);
-  EXPECT_EQ(names.count("attempt"), 1u);
+  EXPECT_EQ(names.count("rpc"), 1u);
   EXPECT_EQ(names.count("serve"), 1u) << "server root not grafted";
   EXPECT_EQ(names.count("queue"), 1u) << "queue wait span missing";
   EXPECT_EQ(names.count("execute"), 1u);
   EXPECT_EQ(names.count("shard_probe"), 3u)
       << "expected one probe span per shard";
 
-  // Parent links: serve hangs under the attempt, probes under execute
+  // Parent links: serve hangs under the rpc span, probes under execute
   // (transitively under serve). Walk each probe up to the root.
   auto index_of = [&](const std::string& name) {
     for (size_t i = 0; i < trace.spans.size(); ++i) {
@@ -495,11 +493,11 @@ TEST(StitchedTraceTest, OneTraceIdFromClientAttemptToShardProbes) {
     }
     return trace.spans.size();
   };
-  const size_t attempt = index_of("attempt");
+  const size_t rpc = index_of("rpc");
   const size_t serve = index_of("serve");
-  ASSERT_LT(attempt, trace.spans.size());
+  ASSERT_LT(rpc, trace.spans.size());
   ASSERT_LT(serve, trace.spans.size());
-  EXPECT_EQ(trace.spans[serve].parent, static_cast<uint32_t>(attempt));
+  EXPECT_EQ(trace.spans[serve].parent, static_cast<uint32_t>(rpc));
   for (size_t i = 0; i < trace.spans.size(); ++i) {
     if (trace.spans[i].name != "shard_probe") continue;
     uint32_t p = trace.spans[i].parent;
@@ -532,6 +530,7 @@ TEST(StitchedTraceTest, OneTraceIdFromClientAttemptToShardProbes) {
   for (const auto& row : r->explain.shards) shard_ids.insert(row.shard);
   EXPECT_EQ(shard_ids.size(), 3u);
 
+  client->Close();
   server.Stop();
 }
 

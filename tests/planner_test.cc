@@ -1,11 +1,10 @@
 // Planner and cache tests: selectivity pruning must be exact (and actually
 // fire when the dictionary holds observed-but-never-indexed paths), the
-// cost cap must stay bit-identical under exact_fallback, and the
-// plan/result caches must key, hit, evict and isolate correctly.
+// ordering predictor must saturate, and the plan/result caches must key,
+// hit, evict and isolate correctly.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -124,46 +123,7 @@ TEST(Planner, CompiledSequencesAreOrderedMostSelectiveFirst) {
   EXPECT_EQ(a->size(), 6u);
 }
 
-// --- Expansion cost cap --------------------------------------------------
-
-TEST(Planner, CostCapWithExactFallbackIsBitIdentical) {
-  std::vector<std::string> specs;
-  for (int i = 0; i < 6; ++i) {
-    specs.push_back("P(R(A('x'),A('y'),A('z')))");
-  }
-  CollectionIndex idx = MakeIndex(specs);
-  auto pattern = ParseXPath("/P/R[A='x'][A='y']");
-  ASSERT_TRUE(pattern.ok());
-
-  ExecOptions base;
-  auto full = idx.executor().ExecutePattern(*pattern, nullptr, base);
-  ASSERT_TRUE(full.ok());
-  EXPECT_EQ(full->size(), 6u);
-
-  // An absurdly small budget with the default exact fallback: the cap is
-  // advisory, results and truncation must be untouched.
-  ExecOptions capped = base;
-  capped.plan.max_predicted_cost = 1;
-  ExecStats capped_stats;
-  auto exact = idx.executor().ExecutePattern(*pattern, &capped_stats, capped);
-  ASSERT_TRUE(exact.ok());
-  EXPECT_EQ(*exact, *full);
-  EXPECT_FALSE(capped_stats.truncated);
-
-  // Without the fallback the ordering cap is clamped: the engine must
-  // report truncation and may only lose answers, never invent them.
-  ExecOptions clamped = capped;
-  clamped.plan.exact_fallback = false;
-  ExecStats clamped_stats;
-  auto approx =
-      idx.executor().ExecutePattern(*pattern, &clamped_stats, clamped);
-  ASSERT_TRUE(approx.ok());
-  EXPECT_TRUE(clamped_stats.truncated);
-  EXPECT_LE(clamped_stats.orderings, capped_stats.orderings);
-  for (DocId d : *approx) {
-    EXPECT_TRUE(std::find(full->begin(), full->end(), d) != full->end());
-  }
-}
+// --- Ordering prediction -----------------------------------------------
 
 TEST(Planner, PredictedOrderingsSaturatesAtCap) {
   // 12 identical siblings would be 12! orderings; the predictor must clamp
@@ -260,7 +220,7 @@ TEST(PlanCacheTest, ExecutorKeysOnCompileKnobs) {
   EXPECT_EQ(s2.plan_cache_hits, 1u);
 
   ExecOptions b = a;
-  b.plan.max_predicted_cost = 7;  // different knob -> different entry
+  b.isomorph.max_orderings = 7;  // different knob -> different entry
   ExecStats s3, s4;
   ASSERT_TRUE(idx.executor().ExecutePattern(*pattern, &s3, b).ok());
   ASSERT_TRUE(idx.executor().ExecutePattern(*pattern, &s4, b).ok());
