@@ -53,8 +53,9 @@ int Usage() {
       "  xseq_tool trace --index=FILE --q=XPATH [--out=FILE]\n"
       "              # runs the query traced, prints the span tree, writes"
       " Chrome JSON\n"
-      "  xseq_tool verify FILE   # per-section integrity report; exit 1 on"
-      " any failure\n"
+      "  xseq_tool verify FILE   # per-section integrity report of an index"
+      " file,\n"
+      "              # a sharded manifest or a part; exit 1 on any failure\n"
       "  xseq_tool reshard --in=PREFIX --out=PREFIX --shards=M"
       " [--threads=N]\n"
       "              # N->M reshard: recovers every document from the tries"
@@ -428,6 +429,7 @@ int Verify(const FlagSet& flags, int argc, char** argv) {
   }
   IndexFileReport report = InspectEncodedIndex(data);
   std::printf("file:     %s (%zu bytes)\n", path.c_str(), data.size());
+  std::printf("kind:     %s\n", report.kind.c_str());
   std::printf("magic:    %s\n", report.magic_ok ? "ok" : "BAD");
   std::printf("version:  %u (%s)\n", report.version,
               report.version_supported ? "supported" : "UNSUPPORTED");
@@ -440,7 +442,13 @@ int Verify(const FlagSet& flags, int argc, char** argv) {
   std::printf("footer:   %s\n", report.footer_ok ? "ok" : "MISMATCH");
   std::printf("trailing: %llu bytes\n",
               static_cast<unsigned long long>(report.trailing_bytes));
-  std::printf("derived:  %llu bytes (link block directory, built on load)\n",
+  std::printf("docs:     %llu\n",
+              static_cast<unsigned long long>(report.documents));
+  if (report.kind != "index") {
+    std::printf("manifest: %016llx\n",
+                static_cast<unsigned long long>(report.catalog_id));
+  }
+  std::printf("derived:  %llu bytes (per-path link arrays, built on load)\n",
               static_cast<unsigned long long>(report.index_derived_bytes));
   std::printf("links:    %llu bytes packed, %llu bytes logical",
               static_cast<unsigned long long>(report.index_packed_link_bytes),
@@ -479,15 +487,34 @@ int Verify(const FlagSet& flags, int argc, char** argv) {
     return 1;
   }
   // Framing is intact: also run the full decode, which re-validates the
-  // structures against each other.
-  auto index = DecodeCollectionIndex(data);
-  if (!index.ok()) {
-    std::printf("FAILED (deep validation): %s\n",
-                index.status().ToString().c_str());
+  // structures against each other. A part decodes against the manifest
+  // beside it ("<prefix>.shard<K>" belongs to "<prefix>").
+  Status deep;
+  if (report.kind == "index") {
+    deep = DecodeCollectionIndex(data).status();
+  } else {
+    std::string manifest = data;
+    const size_t dot = path.rfind(".shard");
+    if (report.kind == "part") {
+      deep = dot == std::string::npos
+                 ? Status::NotFound("no manifest beside " + path)
+                 : Env::Default()->ReadFileToString(path.substr(0, dot),
+                                                    &manifest);
+    }
+    StatusOr<ShardedManifest> decoded =
+        deep.ok() ? DecodeShardedManifest(manifest, /*with_catalog=*/true)
+                  : StatusOr<ShardedManifest>(deep);
+    deep = decoded.status();
+    if (deep.ok() && report.kind == "part") {
+      deep = DecodeIndexPart(data, *decoded).status();
+    }
+  }
+  if (!deep.ok()) {
+    std::printf("FAILED (deep validation): %s\n", deep.ToString().c_str());
     return 1;
   }
-  std::printf("OK: index of %llu documents verifies\n",
-              static_cast<unsigned long long>(index->Stats().documents));
+  std::printf("OK: %s of %llu documents verifies\n", report.kind.c_str(),
+              static_cast<unsigned long long>(report.documents));
   return 0;
 }
 

@@ -1,5 +1,8 @@
 #include "src/core/collection_index.h"
 
+#include <algorithm>
+#include <optional>
+
 #include "src/obs/metrics.h"
 #include "src/util/thread_pool.h"
 #include "src/util/timer.h"
@@ -30,6 +33,15 @@ void CollectValueEntries(const Node* n, PathId path, const Document& doc,
 
 }  // namespace
 
+Status CollectionCatalog::BuildSequencer() {
+  model = schema.BuildModel(dict);
+  sequencer = MakeSequencer(options.sequencer, model, options.random_seed);
+  if (sequencer == nullptr) {
+    return Status::InvalidArgument("unknown sequencer kind");
+  }
+  return Status::OK();
+}
+
 CollectionBuilder::CollectionBuilder(IndexOptions options)
     : CollectionBuilder(options, std::make_shared<NameTable>(),
                         std::make_shared<ValueEncoder>(options.value_mode,
@@ -38,13 +50,18 @@ CollectionBuilder::CollectionBuilder(IndexOptions options)
 CollectionBuilder::CollectionBuilder(IndexOptions options,
                                      std::shared_ptr<NameTable> names,
                                      std::shared_ptr<ValueEncoder> values)
-    : options_(options),
-      names_(std::move(names)),
-      values_(std::move(values)),
-      dict_(std::make_unique<PathDict>()),
-      schema_(std::make_unique<Schema>()) {}
+    : catalog_(std::make_shared<CollectionCatalog>()), parts_(1) {
+  catalog_->options = options;
+  catalog_->names = std::move(names);
+  catalog_->values = std::move(values);
+}
 
-Status CollectionBuilder::Observe(const Document& doc) {
+CollectionBuilder::CollectionBuilder(IndexOptions options, size_t parts)
+    : CollectionBuilder(options) {
+  parts_.resize(std::max<size_t>(parts, 1));
+}
+
+Status CollectionBuilder::ObserveInto(const Document& doc, Part* part) {
   if (indexing_) {
     return Status::FailedPrecondition(
         "Observe() after BeginIndexing(); stream documents in two passes");
@@ -52,27 +69,35 @@ Status CollectionBuilder::Observe(const Document& doc) {
   if (doc.root() == nullptr) {
     return Status::InvalidArgument("document has no root");
   }
-  if (options_.value_mode == ValueMode::kCharSequence) {
+  PathDict* dict = &catalog_->dict;
+  if (catalog_->options.value_mode == ValueMode::kCharSequence) {
     Document expanded = ExpandValueChains(doc);
-    std::vector<PathId> paths = BindPaths(expanded, dict_.get());
-    schema_->Observe(expanded, paths);
+    std::vector<PathId> paths = BindPaths(expanded, dict);
+    catalog_->schema.Observe(expanded, paths);
   } else {
-    std::vector<PathId> paths = BindPaths(doc, dict_.get());
-    schema_->Observe(doc, paths);
+    std::vector<PathId> paths = BindPaths(doc, dict);
+    catalog_->schema.Observe(doc, paths);
   }
   if (doc.root()->sym.is_name()) {
-    PathId root_path = dict_->Find(kEpsilonPath, doc.root()->sym);
+    PathId root_path = dict->Find(kEpsilonPath, doc.root()->sym);
     if (root_path != kInvalidPath) {
-      CollectValueEntries(doc.root(), root_path, doc, *dict_, &vindex_);
+      CollectValueEntries(doc.root(), root_path, doc, *dict, &part->vindex);
     }
   }
-  ++observed_docs_;
+  ++part->observed_docs;
   return Status::OK();
 }
 
-Status CollectionBuilder::Add(Document&& doc) {
-  XSEQ_RETURN_IF_ERROR(Observe(doc));
-  retained_.push_back(std::move(doc));
+Status CollectionBuilder::Observe(const Document& doc) {
+  return ObserveInto(doc, &parts_[0]);
+}
+
+Status CollectionBuilder::Add(Document&& doc, size_t part) {
+  if (part >= parts_.size()) {
+    return Status::InvalidArgument("no such part: " + std::to_string(part));
+  }
+  XSEQ_RETURN_IF_ERROR(ObserveInto(doc, &parts_[part]));
+  parts_[part].retained.push_back(std::move(doc));
   return Status::OK();
 }
 
@@ -82,12 +107,12 @@ Status CollectionBuilder::BoostPath(std::string_view slash_path,
     return Status::FailedPrecondition(
         "BoostPath() must be called before BeginIndexing()");
   }
-  PathId p = dict_->Resolve(slash_path, *names_);
+  PathId p = catalog_->dict.Resolve(slash_path, *catalog_->names);
   if (p == kInvalidPath) {
     return Status::NotFound("path not observed in the data: " +
                             std::string(slash_path));
   }
-  schema_->SetWeight(p, weight);
+  catalog_->schema.SetWeight(p, weight);
   return Status::OK();
 }
 
@@ -97,15 +122,16 @@ Status CollectionBuilder::BoostValuesUnder(std::string_view slash_path,
     return Status::FailedPrecondition(
         "BoostValuesUnder() must be called before BeginIndexing()");
   }
-  PathId p = dict_->Resolve(slash_path, *names_);
+  const PathDict& dict = catalog_->dict;
+  PathId p = dict.Resolve(slash_path, *catalog_->names);
   if (p == kInvalidPath) {
     return Status::NotFound("path not observed in the data: " +
                             std::string(slash_path));
   }
-  schema_->SetWeight(p, weight);
-  for (PathId c = dict_->FirstChild(p); c != kInvalidPath;
-       c = dict_->NextSibling(c)) {
-    if (dict_->sym(c).is_value()) schema_->SetWeight(c, weight);
+  catalog_->schema.SetWeight(p, weight);
+  for (PathId c = dict.FirstChild(p); c != kInvalidPath;
+       c = dict.NextSibling(c)) {
+    if (dict.sym(c).is_value()) catalog_->schema.SetWeight(c, weight);
   }
   return Status::OK();
 }
@@ -115,26 +141,21 @@ Status CollectionBuilder::BeginIndexing() {
     return Status::FailedPrecondition("BeginIndexing() called twice");
   }
   indexing_ = true;
-  model_ = schema_->BuildModel(*dict_);
-  sequencer_ =
-      MakeSequencer(options_.sequencer, model_, options_.random_seed);
-  if (sequencer_ == nullptr) {
-    return Status::InvalidArgument("unknown sequencer kind");
-  }
-  return Status::OK();
+  return catalog_->BuildSequencer();
 }
 
-Status CollectionBuilder::SequenceInto(const Document& doc) {
+Status CollectionBuilder::SequenceInto(const Document& doc,
+                                       Part* part) const {
   const Document* src = &doc;
   Document expanded(0);
-  if (options_.value_mode == ValueMode::kCharSequence) {
+  if (catalog_->options.value_mode == ValueMode::kCharSequence) {
     expanded = ExpandValueChains(doc);
     src = &expanded;
   }
   // Paths were interned during Observe; Find is enough here, but documents
   // in streaming mode are re-generated, so re-bind defensively (a path that
   // was never observed indicates the two passes diverged).
-  std::vector<PathId> paths = FindPaths(*src, *dict_);
+  std::vector<PathId> paths = FindPaths(*src, catalog_->dict);
   for (PathId p : paths) {
     if (p == kInvalidPath) {
       return Status::InvalidArgument(
@@ -142,9 +163,9 @@ Status CollectionBuilder::SequenceInto(const Document& doc) {
           "streaming passes must supply identical documents");
     }
   }
-  Sequence seq = sequencer_->Encode(*src, paths);
-  total_seq_elements_ += seq.size();
-  buffered_.emplace_back(std::move(seq), src->id());
+  Sequence seq = catalog_->sequencer->Encode(*src, paths);
+  part->total_seq_elements += seq.size();
+  part->buffered.emplace_back(std::move(seq), src->id());
   return Status::OK();
 }
 
@@ -152,43 +173,34 @@ Status CollectionBuilder::Index(const Document& doc) {
   if (!indexing_) {
     return Status::FailedPrecondition("call BeginIndexing() before Index()");
   }
-  return SequenceInto(doc);
+  return SequenceInto(doc, &parts_[0]);
 }
 
-StatusOr<CollectionIndex> CollectionBuilder::Finish() && {
+StatusOr<CollectionIndex> CollectionBuilder::BuildPart(Part* part) const {
   Timer finish_timer;
-  if (!indexing_) {
-    XSEQ_RETURN_IF_ERROR(BeginIndexing());
-  }
-  buffered_.reserve(buffered_.size() + retained_.size());
-  for (const Document& doc : retained_) {
-    XSEQ_RETURN_IF_ERROR(SequenceInto(doc));
+  part->buffered.reserve(part->buffered.size() + part->retained.size());
+  for (const Document& doc : part->retained) {
+    XSEQ_RETURN_IF_ERROR(SequenceInto(doc, part));
   }
 
   TrieBuilder trie;
-  if (options_.bulk_load) {
-    XSEQ_RETURN_IF_ERROR(trie.BulkLoad(&buffered_));
+  if (catalog_->options.bulk_load) {
+    XSEQ_RETURN_IF_ERROR(trie.BulkLoad(&part->buffered));
   } else {
-    for (const auto& [seq, doc] : buffered_) {
+    for (const auto& [seq, doc] : part->buffered) {
       XSEQ_RETURN_IF_ERROR(trie.Insert(seq, doc));
     }
-    buffered_.clear();
+    part->buffered.clear();
   }
 
   CollectionIndex out;
-  out.options_ = options_;
+  out.catalog_ = catalog_;
   out.index_ = std::move(trie).Freeze();
-  out.names_ = std::move(names_);
-  out.values_ = std::move(values_);
-  out.dict_ = std::move(dict_);
-  out.schema_ = std::move(schema_);
-  out.model_ = std::move(model_);
-  out.sequencer_ = std::move(sequencer_);
-  out.vindex_ = std::move(vindex_).Build();
-  out.documents_count_ = observed_docs_;
-  out.total_seq_elements_ = total_seq_elements_;
-  if (options_.keep_documents) {
-    out.documents_ = std::move(retained_);
+  out.vindex_ = std::move(part->vindex).Build();
+  out.documents_count_ = part->observed_docs;
+  out.total_seq_elements_ = part->total_seq_elements;
+  if (catalog_->options.keep_documents) {
+    out.documents_ = std::move(part->retained);
   }
   if (obs::MetricsEnabled()) {
     struct Set {
@@ -212,6 +224,37 @@ StatusOr<CollectionIndex> CollectionBuilder::Finish() && {
   return out;
 }
 
+StatusOr<CollectionIndex> CollectionBuilder::Finish() && {
+  if (parts_.size() != 1) {
+    return Status::FailedPrecondition(
+        "a builder of several parts finishes with FinishParts()");
+  }
+  if (!indexing_) XSEQ_RETURN_IF_ERROR(BeginIndexing());
+  return BuildPart(&parts_[0]);
+}
+
+StatusOr<std::vector<CollectionIndex>> CollectionBuilder::FinishParts(
+    ThreadPool* pool) && {
+  if (!indexing_) XSEQ_RETURN_IF_ERROR(BeginIndexing());
+  const size_t n = parts_.size();
+  std::vector<std::optional<CollectionIndex>> built(n);
+  std::vector<Status> results(n);
+  // The catalog is frozen: every task only reads it.
+  pool->ParallelFor(n, [&](size_t p) {
+    auto part = BuildPart(&parts_[p]);
+    if (part.ok()) {
+      built[p].emplace(std::move(*part));
+    } else {
+      results[p] = part.status();
+    }
+  });
+  for (const Status& st : results) XSEQ_RETURN_IF_ERROR(st);
+  std::vector<CollectionIndex> out;
+  out.reserve(n);
+  for (auto& part : built) out.push_back(std::move(*part));
+  return out;
+}
+
 StatusOr<QueryResult> CollectionIndex::Query(std::string_view xpath,
                                              const ExecOptions& options,
                                              MatchContext* ctx) const {
@@ -229,13 +272,11 @@ std::vector<StatusOr<QueryResult>> CollectionIndex::QueryBatch(
       xpaths.size(), Status::Internal("query was not executed"));
   std::unique_ptr<ThreadPool> owned;
   ThreadPool* pool = PoolFor(threads, &owned);
-  // One context pool for the batch: workers lease scratch per query, so a
-  // batch allocates a handful of contexts total instead of per query.
-  MatchContextPool contexts;
   // Query() is const and touches only the frozen index; every worker writes
-  // its own slot.
+  // its own slot and leases scratch per query from the index's pool, which
+  // keeps its contexts (and their decoded blocks) across batches.
   pool->ParallelFor(xpaths.size(), [&](size_t i) {
-    MatchContextLease lease(&contexts);
+    MatchContextLease lease(contexts_.get());
     out[i] = Query(xpaths[i], options, lease.get());
   });
   return out;
@@ -245,7 +286,7 @@ CollectionIndex::SizeStats CollectionIndex::Stats() const {
   SizeStats s;
   s.documents = documents_count_;
   s.trie_nodes = index_.node_count();
-  s.distinct_paths = dict_->size() - 1;  // exclude ε
+  s.distinct_paths = catalog_->dict.size() - 1;  // exclude ε
   s.sequence_elements = total_seq_elements_;
   s.memory_bytes = index_.MemoryBytes();
   s.packed_link_bytes = index_.PackedLinkBytes();

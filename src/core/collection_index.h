@@ -32,6 +32,7 @@
 #include "src/schema/schema.h"
 #include "src/seq/sequencer.h"
 #include "src/util/status.h"
+#include "src/util/thread_pool.h"
 #include "src/vindex/value_index.h"
 #include "src/xml/name_table.h"
 #include "src/xml/parser.h"
@@ -54,9 +55,35 @@ struct QueryResult {
   ExecStats stats;
 };
 
+/// What every part of one collection shares: the build options, the
+/// vocabulary tables, the path dictionary, the schema, and the sequencing
+/// model and sequencer built from them once every document was observed
+/// (Section 5: Algorithm 2 orders by p(C|root), a collection statistic).
+/// A CollectionIndex built on its own owns its catalog; the shards of a
+/// static ShardedCollection hold one between them, so every shard's trie
+/// is sequenced in one order and one compiled query is valid on each.
+struct CollectionCatalog {
+  IndexOptions options;
+  std::shared_ptr<NameTable> names;
+  std::shared_ptr<ValueEncoder> values;
+  PathDict dict;
+  Schema schema;
+  std::shared_ptr<const SequencingModel> model;  ///< null until built
+  std::unique_ptr<Sequencer> sequencer;          ///< null until built
+
+  /// Builds the model and sequencer from the schema and dictionary.
+  Status BuildSequencer();
+
+  CatalogView view() const {
+    return CatalogView{&dict, names.get(), values.get(), sequencer.get(),
+                       &schema};
+  }
+};
+
 class CollectionIndex;
 
-/// Accumulates documents and produces a CollectionIndex.
+/// Accumulates documents and produces a CollectionIndex, or several that
+/// share one catalog (see the `parts` constructor).
 class CollectionBuilder {
  public:
   explicit CollectionBuilder(IndexOptions options = IndexOptions());
@@ -69,18 +96,24 @@ class CollectionBuilder {
   CollectionBuilder(IndexOptions options, std::shared_ptr<NameTable> names,
                     std::shared_ptr<ValueEncoder> values);
 
+  /// Builds `parts` indexes over one catalog: Add(doc, part) observes every
+  /// document into the shared dictionary and schema, and FinishParts()
+  /// sequences each part with the one model built after the last Add.
+  CollectionBuilder(IndexOptions options, size_t parts);
+
   /// Vocabulary tables to parse/generate documents against.
-  NameTable* names() { return names_.get(); }
-  ValueEncoder* values() { return values_.get(); }
-  PathDict* dict() { return dict_.get(); }
+  NameTable* names() { return catalog_->names.get(); }
+  ValueEncoder* values() { return catalog_->values.get(); }
+  PathDict* dict() { return &catalog_->dict; }
   /// Schema under observation (for weights, declared repeatability, stats).
-  Schema* schema() { return schema_.get(); }
+  Schema* schema() { return &catalog_->schema; }
 
   // --- Retained mode -------------------------------------------------
-  /// Observes and retains `doc`. Finish() sequences the retained documents.
-  Status Add(Document&& doc);
+  /// Observes and retains `doc` for part `part`. Finish()/FinishParts()
+  /// sequence the retained documents.
+  Status Add(Document&& doc, size_t part = 0);
 
-  // --- Streaming mode ------------------------------------------------
+  // --- Streaming mode (one part) --------------------------------------
   /// Phase 1: records `doc`'s paths and statistics; does not retain it.
   Status Observe(const Document& doc);
 
@@ -103,35 +136,48 @@ class CollectionBuilder {
   /// identically (same ids) as observed.
   Status Index(const Document& doc);
 
-  /// Builds the index on the calling thread: sequences the retained
+  /// Builds the one index on the calling thread: sequences the retained
   /// documents, then bulk loads the trie. The builder is consumed.
   StatusOr<CollectionIndex> Finish() &&;
 
- private:
-  /// Sequences `doc` against the frozen dictionary and model and appends
-  /// it to `buffered_`.
-  Status SequenceInto(const Document& doc);
+  /// Builds every part over the shared catalog: the model is built once,
+  /// then each part is sequenced and bulk loaded on a task of `pool`, one
+  /// part per task, so the parts do not depend on the pool's width. The
+  /// builder is consumed.
+  StatusOr<std::vector<CollectionIndex>> FinishParts(ThreadPool* pool) &&;
 
-  IndexOptions options_;
-  std::shared_ptr<NameTable> names_;
-  std::shared_ptr<ValueEncoder> values_;
-  std::unique_ptr<PathDict> dict_;
-  std::unique_ptr<Schema> schema_;
-  std::vector<Document> retained_;
+ private:
+  /// Per-part build state: the retained or sequenced documents and their
+  /// value postings.
+  struct Part {
+    std::vector<Document> retained;
+    std::vector<std::pair<Sequence, DocId>> buffered;
+    ValueIndexBuilder vindex;  ///< range-predicate postings, fed by Observe
+    uint64_t observed_docs = 0;
+    uint64_t total_seq_elements = 0;
+  };
+
+  /// Observes `doc` into the catalog and `part`'s value postings.
+  Status ObserveInto(const Document& doc, Part* part);
+  /// Sequences `doc` against the frozen dictionary and model and appends
+  /// it to `part->buffered`.
+  Status SequenceInto(const Document& doc, Part* part) const;
+  /// Sequences `part`'s retained documents and freezes its trie.
+  StatusOr<CollectionIndex> BuildPart(Part* part) const;
+
+  std::shared_ptr<CollectionCatalog> catalog_;
+  std::vector<Part> parts_;
   bool indexing_ = false;
-  std::shared_ptr<const SequencingModel> model_;
-  std::unique_ptr<Sequencer> sequencer_;
-  std::vector<std::pair<Sequence, DocId>> buffered_;
-  ValueIndexBuilder vindex_;  ///< range-predicate postings, fed by Observe
-  uint64_t observed_docs_ = 0;
-  uint64_t total_seq_elements_ = 0;
 };
 
-/// An immutable, queryable index over a document collection.
+/// An immutable, queryable index over a document collection: one part of
+/// a collection (a trie and a value index) and the catalog it was
+/// sequenced with.
 class CollectionIndex {
  public:
   /// Runs an XPath query (see query_pattern.h for the supported subset).
-  /// `ctx`, when given, supplies reusable match scratch (see MatchContext).
+  /// `ctx`, when given, supplies reusable match scratch (see MatchContext);
+  /// otherwise one is leased from the index's pool.
   StatusOr<QueryResult> Query(std::string_view xpath,
                               const ExecOptions& options = {},
                               MatchContext* ctx = nullptr) const;
@@ -151,7 +197,7 @@ class CollectionIndex {
   struct SizeStats {
     uint64_t documents = 0;
     uint64_t trie_nodes = 0;        ///< the paper's Fig. 14 metric
-    uint64_t distinct_paths = 0;
+    uint64_t distinct_paths = 0;    ///< of the (shared) dictionary
     uint64_t sequence_elements = 0; ///< sum of sequence lengths
     uint64_t memory_bytes = 0;      ///< resident index footprint
     uint64_t packed_link_bytes = 0; ///< block-compressed link region
@@ -167,47 +213,53 @@ class CollectionIndex {
   SizeStats Stats() const;
 
   const FrozenIndex& index() const { return index_; }
-  const PathDict& dict() const { return *dict_; }
-  /// Vocabulary tables. A DynamicIndex segment shares its shard's, which
-  /// may hold names and values the segment never indexed.
-  const NameTable& names() const { return *names_; }
-  const ValueEncoder& values() const { return *values_; }
-  const Sequencer& sequencer() const { return *sequencer_; }
-  const Schema& schema() const { return *schema_; }
-  const SequencingModel& model() const { return *model_; }
+  const PathDict& dict() const { return catalog_->dict; }
+  /// Vocabulary tables. A DynamicIndex segment shares its shard's, and a
+  /// static shard its collection's, which may hold names and values this
+  /// index never indexed.
+  const NameTable& names() const { return *catalog_->names; }
+  const ValueEncoder& values() const { return *catalog_->values; }
+  const Sequencer& sequencer() const { return *catalog_->sequencer; }
+  const Schema& schema() const { return catalog_->schema; }
+  const SequencingModel& model() const { return *catalog_->model; }
+  /// The catalog this index was sequenced with (shared by the shards of a
+  /// static ShardedCollection).
+  const std::shared_ptr<const CollectionCatalog>& catalog() const {
+    return catalog_;
+  }
 
   /// Retained documents (empty unless IndexOptions::keep_documents).
   const std::vector<Document>& documents() const { return documents_; }
 
   /// The options the index was built with.
-  const IndexOptions& options() const { return options_; }
+  const IndexOptions& options() const { return catalog_->options; }
 
+  /// A one-part executor over this index; calls without a MatchContext
+  /// lease one from the index's pool.
   QueryExecutor executor() const {
-    return QueryExecutor(&index_, dict_.get(), names_.get(), values_.get(),
-                         sequencer_.get(), schema_.get(), vindex_);
+    return QueryExecutor(catalog_->view(), part(), index_.plan_cache_id(),
+                         contexts_.get());
   }
+  /// This index as one part of its catalog's collection.
+  IndexPart part() const { return IndexPart{&index_, &vindex_}; }
 
   /// Ordered value index for range predicates.
   const ValueIndex& vindex() const { return vindex_; }
 
  private:
   friend class CollectionBuilder;
-  friend StatusOr<CollectionIndex> DecodeCollectionIndex(
-      std::string_view data);
-  CollectionIndex() = default;
+  friend struct IndexImageCodec;  // src/core/persist.cc
+  CollectionIndex() : contexts_(std::make_unique<MatchContextPool>()) {}
 
-  IndexOptions options_;
+  std::shared_ptr<const CollectionCatalog> catalog_;
   FrozenIndex index_;
-  std::shared_ptr<const NameTable> names_;
-  std::shared_ptr<const ValueEncoder> values_;
-  std::unique_ptr<PathDict> dict_;
-  std::unique_ptr<Schema> schema_;
-  std::shared_ptr<const SequencingModel> model_;
-  std::unique_ptr<Sequencer> sequencer_;
   ValueIndex vindex_;
   std::vector<Document> documents_;
   uint64_t documents_count_ = 0;
   uint64_t total_seq_elements_ = 0;
+  /// Match scratch leased to queries that bring none (indirect so the
+  /// index stays movable; the pool holds a mutex).
+  std::unique_ptr<MatchContextPool> contexts_;
 };
 
 }  // namespace xseq

@@ -270,23 +270,30 @@ Status DynamicIndex::Compact() {
   return Status::OK();
 }
 
-Status DynamicIndex::SaveCompacted(const std::string& path,
-                                   const PersistOptions& persist) {
-  XSEQ_RETURN_IF_ERROR(Compact());
-  // Compact() leaves exactly one sealed segment (even for an empty index).
-  // Snapshot the shared_ptr under the lock and write outside it, so
-  // queries and further mutations proceed while the file lands; the
-  // snapshot is immutable, so a concurrent Add simply isn't in this image.
-  // Its vocabulary is the shared tables, which the save reads like a query.
-  std::shared_ptr<const CollectionIndex> merged;
+Status DynamicIndex::ForEachLiveDocument(
+    const std::function<Status(const Document&)>& fn) const {
+  // Segments and tombstone sets are immutable once published, so pointers
+  // to them suffice; the buffer mutates, so it is copied.
+  std::vector<std::shared_ptr<const CollectionIndex>> segments;
+  std::vector<std::shared_ptr<const std::unordered_set<DocId>>> dead;
+  std::vector<Document> buffered;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!segments_.empty()) merged = segments_.front();
+    segments = segments_;
+    for (const SlotState& slot : slot_state_) dead.push_back(slot.dead);
+    buffered.reserve(buffer_.docs.size());
+    for (const Document& doc : buffer_.docs) {
+      buffered.push_back(CloneDocument(doc));
+    }
   }
-  if (merged == nullptr) {
-    return Status::Internal("compaction left no segment to save");
+  for (size_t i = 0; i < segments.size(); ++i) {
+    for (const Document& doc : segments[i]->documents()) {
+      if (dead[i] != nullptr && dead[i]->count(doc.id()) != 0) continue;
+      XSEQ_RETURN_IF_ERROR(fn(doc));
+    }
   }
-  return SaveCollectionIndex(*merged, path, persist);
+  for (const Document& doc : buffered) XSEQ_RETURN_IF_ERROR(fn(doc));
+  return Status::OK();
 }
 
 StatusOr<std::vector<DocId>> DynamicIndex::Query(

@@ -34,15 +34,16 @@
 // runs it, and a query probes its segments one after another on the
 // calling thread: the index owns no thread pool. The one rule callers keep:
 // nothing interns into names()/values() while the index is read. Queries
-// (buffer scans and sealed segments alike) and SaveCompacted() read the
-// shared tables, which are not internally synchronized, so parse or
-// generate documents under a lock that excludes them, or before they
-// start. Seals and Compact() never read the tables, so they may run while
+// (buffer scans and sealed segments alike) and ForEachLiveDocument()
+// callers read the shared tables, which are not internally synchronized,
+// so parse or generate documents under a lock that excludes them, or
+// before they start. Seals and Compact() never read the tables, so they may run while
 // a writer interns.
 
 #ifndef XSEQ_SRC_CORE_DYNAMIC_INDEX_H_
 #define XSEQ_SRC_CORE_DYNAMIC_INDEX_H_
 
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -51,7 +52,6 @@
 #include <vector>
 
 #include "src/core/collection_index.h"
-#include "src/core/persist.h"
 #include "src/query/oracle.h"
 
 namespace xseq {
@@ -96,16 +96,14 @@ class DynamicIndex {
   /// current global statistics, on the calling thread.
   Status Compact();
 
-  /// Persists the index as a *static* image: compacts everything into one
-  /// segment under the current global statistics, then writes it through
-  /// the crash-safe single-index save path. The file is exactly what
-  /// LoadCollectionIndex reads back — the dynamic history (segments,
-  /// buffer) is not preserved, only the answer set. Compaction bumps the
-  /// generation, so cached results are invalidated as a side effect.
-  /// Queries may race freely with this call; interning may not, since the
-  /// image's vocabulary sections are the shared tables as they stand.
-  Status SaveCompacted(const std::string& path,
-                       const PersistOptions& persist = {});
+  /// Calls `fn` on every live document, parsed against names()/values():
+  /// the sealed ones not tombstoned, then the buffered ones. It snapshots
+  /// under the index lock and calls outside it, so queries and mutations
+  /// proceed meanwhile and the walk sees the state of one moment; the
+  /// first error stops it. Interning must not race with it (the caller
+  /// reads the tables).
+  Status ForEachLiveDocument(
+      const std::function<Status(const Document&)>& fn) const;
 
   /// Runs an XPath query across segments and buffer; sorted unique ids.
   StatusOr<std::vector<DocId>> Query(std::string_view xpath,

@@ -1,14 +1,28 @@
-// Index persistence: save a built CollectionIndex to a single binary file
-// and load it back, ready to answer queries.
+// Index persistence: save a built CollectionIndex to a single binary file,
+// or a static sharded collection to a manifest plus one part per shard,
+// and load them back, ready to answer queries.
 //
-// File format (all little-endian):
-//   magic   "XSEQIDX" (7 bytes) + format version byte (kIndexFormatVersion)
-//   framed sections, in order: header, names, values, dict, schema, index,
-//     vindex
+// Three file kinds share one container (all little-endian):
+//   magic + format version byte
+//   framed sections, in a fixed order per kind
 //     each frame: payload length (fixed64), FNV-1a64 of the payload
 //     (fixed64), then the payload bytes
 //   footer  — FNV-1a64 over everything between the version byte and the
 //             footer (so frame headers are covered too)
+//
+//   index file  "XSEQIDX"  header, names, values, dict, schema, index,
+//                          vindex — one catalog and its one part
+//   manifest    "XSEQSHRD" header, names, values, dict, schema — the
+//                          catalog every shard of a collection shares, with
+//                          the shard count and total document count
+//   part        "XSEQPART" header, index, vindex — one shard's trie, links,
+//                          doc lists and value index; its header records
+//                          the manifest's identity (the manifest footer) and
+//                          its document count
+//
+// The catalog sections are the same bytes in an index file and a
+// manifest, and the part sections the same as an index file's, so one
+// decoder reads each section wherever it sits.
 //
 // Per-section checksums let a failed load name the section that is damaged;
 // every frame length is validated against the remaining input before any
@@ -29,7 +43,9 @@
 #ifndef XSEQ_SRC_CORE_PERSIST_H_
 #define XSEQ_SRC_CORE_PERSIST_H_
 
+#include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -38,12 +54,16 @@
 
 namespace xseq {
 
-/// The one format version this build reads and writes: the layout above,
-/// with the horizontal links block-compressed (src/index/link_codec.h) in
-/// "index" and the ordered value index (src/vindex/value_index.h) in
-/// "vindex". Older images are refused with kInvalidArgument asking for a
-/// rebuild; a newer one is kUnimplemented.
-inline constexpr uint8_t kIndexFormatVersion = 4;
+/// The one index-file version this build reads and writes: the layout
+/// above, with the horizontal links block-compressed
+/// (src/index/link_codec.h) in "index" and the ordered value index
+/// (src/vindex/value_index.h) in "vindex". Older images are refused with
+/// kInvalidArgument asking for a rebuild; a newer one is kUnimplemented.
+inline constexpr uint8_t kIndexFormatVersion = 5;
+
+/// The one manifest and part version this build reads and writes, with
+/// the same refusal rules.
+inline constexpr uint8_t kShardedFormatVersion = 2;
 
 /// Environment and retry policy for on-disk save/load.
 struct PersistOptions {
@@ -64,6 +84,40 @@ std::string EncodeCollectionIndex(const CollectionIndex& index);
 /// cross-structure invariants; errors name the failing section.
 StatusOr<CollectionIndex> DecodeCollectionIndex(std::string_view data);
 
+/// A decoded sharded-collection manifest.
+struct ShardedManifest {
+  uint32_t shard_count = 0;
+  uint64_t total_documents = 0;
+  /// Identity every part of this save records: the manifest's footer
+  /// checksum, which covers every shared section.
+  uint64_t catalog_id = 0;
+  /// The shared catalog; null unless decoded with `with_catalog`.
+  std::shared_ptr<const CollectionCatalog> catalog;
+};
+
+/// Encodes the manifest of a collection whose `shard_count` parts share
+/// `catalog` and hold `total_documents` between them; `*catalog_id`
+/// receives the identity its parts must record.
+std::string EncodeShardedManifest(const CollectionCatalog& catalog,
+                                  uint32_t shard_count,
+                                  uint64_t total_documents,
+                                  uint64_t* catalog_id);
+
+/// Verifies a manifest (magic, version, checksums, plausible shard count)
+/// and reads its counts and identity; with `with_catalog` it also decodes
+/// the shared sections into a catalog ready to sequence and compile.
+StatusOr<ShardedManifest> DecodeShardedManifest(std::string_view data,
+                                                bool with_catalog);
+
+/// Encodes one shard's part, bound to the manifest identity `catalog_id`.
+std::string EncodeIndexPart(const CollectionIndex& part, uint64_t catalog_id);
+
+/// Decodes a part against `manifest` (decoded with its catalog). A part
+/// recording another manifest's identity is refused before any section
+/// is decoded against the wrong dictionary.
+StatusOr<CollectionIndex> DecodeIndexPart(std::string_view data,
+                                          const ShardedManifest& manifest);
+
 /// Writes `index` to `path` crash-safely (temp file + fsync + rename).
 /// On failure the previous contents of `path`, if any, are untouched.
 Status SaveCollectionIndex(const CollectionIndex& index,
@@ -74,6 +128,15 @@ Status SaveCollectionIndex(const CollectionIndex& index,
 StatusOr<CollectionIndex> LoadCollectionIndex(
     const std::string& path, const PersistOptions& options = {});
 
+/// Reads `path` whole through `options.env`, retrying transient errors
+/// like the loaders do.
+Status ReadImageFile(const std::string& path, const PersistOptions& options,
+                     std::string* data);
+
+/// Writes `data` to `path` crash-safely, retrying transient errors.
+Status WriteImageFile(const std::string& path, const std::string& data,
+                      const PersistOptions& options);
+
 /// One framed section as seen by InspectEncodedIndex.
 struct IndexSectionInfo {
   std::string name;      ///< "header", "names", "values", ...
@@ -82,8 +145,12 @@ struct IndexSectionInfo {
   bool checksum_ok = false;
 };
 
-/// Integrity report over an encoded index image (see `xseq_tool verify`).
+/// Integrity report over an encoded index file, manifest or part (see
+/// `xseq_tool verify`).
 struct IndexFileReport {
+  /// "index", "manifest" or "part", from the magic ("index" when the
+  /// magic is unrecognized).
+  std::string kind = "index";
   bool magic_ok = false;
   uint32_t version = 0;
   bool version_supported = false;
@@ -108,8 +175,13 @@ struct IndexFileReport {
   uint64_t vindex_paths = 0;
   uint64_t vindex_entries = 0;
   std::vector<std::pair<uint32_t, uint64_t>> vindex_path_counts;
+  /// Read from a healthy header: documents held (a manifest's total) and
+  /// the manifest identity (a part's recorded one, a manifest's own footer
+  /// checksum).
+  uint64_t documents = 0;
+  uint64_t catalog_id = 0;
   /// OK iff every check above passed; otherwise the first failure,
-  /// matching what DecodeCollectionIndex would report.
+  /// matching what the decoder of that file kind would report.
   Status status;
 };
 

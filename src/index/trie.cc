@@ -268,34 +268,55 @@ void FrozenIndex::EncodeTo(std::string* dst) const {
   PutPodVector(dst, nodes_);
   PutPodVector(dst, node_docs_off_);
   PutPodVector(dst, docs_);
-  PutPodVector(dst, link_off_);
   // The packed blocks ship verbatim: re-encoding a decoded image is
-  // byte-identical, and loading needs no recompression. The per-path block
-  // directory is derived from link_off_ on load.
+  // byte-identical, and loading needs no recompression. The per-path
+  // arrays (link offsets, block directory, nested flags) are derived from
+  // the nodes on load, so an image does not grow with the dictionary.
   PutPodVector(dst, link_blocks_);
   PutPodVector(dst, link_words_);
-  PutPodVector(dst, nested_);
 }
 
-StatusOr<FrozenIndex> FrozenIndex::DecodeFrom(Decoder* in) {
+void FrozenIndex::DeriveLinkArrays() {
+  PathId max_path = 0;
+  for (const NodeRec& rec : nodes_) max_path = std::max(max_path, rec.path);
+  // Counting sort of serials by path: link p's entries are the serials
+  // carrying p, ascending.
+  link_off_.assign(static_cast<size_t>(max_path) + 2, 0);
+  for (const NodeRec& rec : nodes_) ++link_off_[rec.path + 1];
+  for (size_t i = 1; i < link_off_.size(); ++i) {
+    link_off_[i] += link_off_[i - 1];
+  }
+  // A running max subtree end per path detects nested occurrences
+  // (identical sibling nodes, Eq. 5) in one ascending pass.
+  nested_.assign(static_cast<size_t>(max_path) + 1, 0);
+  std::vector<uint32_t> max_end(static_cast<size_t>(max_path) + 1, 0);
+  std::vector<uint8_t> seen(static_cast<size_t>(max_path) + 1, 0);
+  for (uint32_t serial = 0; serial < static_cast<uint32_t>(nodes_.size());
+       ++serial) {
+    const PathId p = nodes_[serial].path;
+    if (seen[p] && serial <= max_end[p]) nested_[p] = 1;
+    max_end[p] = std::max(seen[p] ? max_end[p] : 0u, nodes_[serial].end);
+    seen[p] = 1;
+  }
+}
+
+StatusOr<FrozenIndex> FrozenIndex::DecodeFrom(Decoder* in,
+                                              size_t path_limit) {
   FrozenIndex out;
   XSEQ_RETURN_IF_ERROR(in->GetPodVector(&out.nodes_));
   XSEQ_RETURN_IF_ERROR(in->GetPodVector(&out.node_docs_off_));
   XSEQ_RETURN_IF_ERROR(in->GetPodVector(&out.docs_));
-  XSEQ_RETURN_IF_ERROR(in->GetPodVector(&out.link_off_));
-  // Bounds must hold before the derived arrays are built (Validate runs
-  // later and assumes in-bounds access).
-  for (size_t i = 0; i + 1 < out.link_off_.size(); ++i) {
-    if (out.link_off_[i] > out.link_off_[i + 1]) {
-      return Status::Corruption("link offsets not monotone");
+  // Paths and ranges must be in bounds before the per-path arrays are
+  // sized from them (Validate runs later and assumes in-bounds access).
+  for (const NodeRec& rec : out.nodes_) {
+    if (rec.path == kEpsilonPath || rec.path >= path_limit) {
+      return Status::Corruption("index references unknown paths");
+    }
+    if (rec.end >= out.nodes_.size()) {
+      return Status::Corruption("node range out of bounds");
     }
   }
-  if (!out.link_off_.empty() && out.link_off_.back() != out.nodes_.size()) {
-    return Status::Corruption("link array size mismatch");
-  }
-  if (out.link_off_.empty() && !out.nodes_.empty()) {
-    return Status::Corruption("link array size mismatch");
-  }
+  out.DeriveLinkArrays();
   XSEQ_RETURN_IF_ERROR(in->GetPodVector(&out.link_blocks_));
   XSEQ_RETURN_IF_ERROR(in->GetPodVector(&out.link_words_));
   // Rebuild the per-path block directory from link_off_ and verify the
@@ -331,7 +352,6 @@ StatusOr<FrozenIndex> FrozenIndex::DecodeFrom(Decoder* in) {
   if (word_cursor != out.link_words_.size()) {
     return Status::Corruption("link words do not cover the word array");
   }
-  XSEQ_RETURN_IF_ERROR(in->GetPodVector(&out.nested_));
   if (out.node_docs_off_.size() != out.nodes_.size() + 1 &&
       !(out.nodes_.empty() && out.node_docs_off_.empty())) {
     return Status::Corruption("index arrays are inconsistent");
@@ -444,7 +464,6 @@ FrozenIndex TrieBuilder::Freeze() && {
   out.nodes_.reserve(n);
   out.node_docs_off_.reserve(n + 1);
 
-  PathId max_path = 0;
   uint32_t doc_cursor = 0;
 
   // Iterative pre-order DFS. An entry with enter=true assigns the serial;
@@ -479,7 +498,6 @@ FrozenIndex TrieBuilder::Freeze() && {
     BuildNode& bn = pool_[w.node];
     uint32_t serial = static_cast<uint32_t>(out.nodes_.size());
     out.nodes_.push_back(FrozenIndex::NodeRec{bn.path, serial});
-    max_path = std::max(max_path, bn.path);
 
     out.node_docs_off_.push_back(doc_cursor);
     std::sort(bn.docs.begin(), bn.docs.end());
@@ -493,31 +511,16 @@ FrozenIndex TrieBuilder::Freeze() && {
   }
   out.node_docs_off_.push_back(doc_cursor);
 
-  // Path links: counting sort of serials by path. Iterating serials in
-  // ascending order keeps every link sorted.
-  out.link_off_.assign(static_cast<size_t>(max_path) + 2, 0);
-  for (const auto& rec : out.nodes_) ++out.link_off_[rec.path + 1];
-  for (size_t i = 1; i < out.link_off_.size(); ++i) {
-    out.link_off_[i] += out.link_off_[i - 1];
-  }
+  out.DeriveLinkArrays();
   std::vector<FrozenIndex::LinkEntry> entries(out.nodes_.size());
-  out.nested_.assign(static_cast<size_t>(max_path) + 1, 0);
   {
     std::vector<uint32_t> cursor(out.link_off_.begin(),
                                  out.link_off_.end() - 1);
-    // Running max subtree end per path detects nested occurrences
-    // (identical sibling nodes, Eq. 5) in one ascending pass.
-    std::vector<uint32_t> max_end(static_cast<size_t>(max_path) + 1, 0);
-    std::vector<uint8_t> seen(static_cast<size_t>(max_path) + 1, 0);
     for (uint32_t serial = 0;
          serial < static_cast<uint32_t>(out.nodes_.size()); ++serial) {
-      PathId p = out.nodes_[serial].path;
+      const PathId p = out.nodes_[serial].path;
       entries[cursor[p]++] =
           FrozenIndex::LinkEntry{serial, out.nodes_[serial].end};
-      if (seen[p] && serial <= max_end[p]) out.nested_[p] = 1;
-      max_end[p] = std::max(seen[p] ? max_end[p] : 0u,
-                            out.nodes_[serial].end);
-      seen[p] = 1;
     }
   }
   out.CompressLinks(entries);

@@ -173,16 +173,24 @@ class FrozenIndex {
   /// and available to callers that load index files from untrusted media.
   Status Validate() const;
 
-  /// Appends a binary encoding of the index to `dst`, with the resident
-  /// block-compressed links written verbatim (see src/core/persist.h for
-  /// the file format around it).
+  /// Appends a binary encoding of the index to `dst`: nodes, doc lists and
+  /// the resident block-compressed links written verbatim (see
+  /// src/core/persist.h for the file format around it). The dense per-path
+  /// arrays are not written; DecodeFrom derives them from the nodes.
   void EncodeTo(std::string* dst) const;
-  /// Decodes an index previously written by EncodeTo. Older link layouts
+  /// Decodes an index previously written by EncodeTo. Every node's path
+  /// must lie in [1, path_limit) — the size of the dictionary it was built
+  /// over — which bounds the derived per-path arrays. Older link layouts
   /// never reach it: the image loader refuses their format versions.
-  static StatusOr<FrozenIndex> DecodeFrom(Decoder* in);
+  static StatusOr<FrozenIndex> DecodeFrom(Decoder* in, size_t path_limit);
 
  private:
   friend class TrieBuilder;
+
+  /// Sizes link_off_ and nested_ by the largest path the nodes carry and
+  /// fills them from the nodes: link offsets by counting sort, nested flags
+  /// by one ascending pass.
+  void DeriveLinkArrays();
 
   /// Builds the packed link region (block directory, headers, words) from
   /// flat fused entries partitioned by link_off_; computes each link's

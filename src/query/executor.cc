@@ -72,43 +72,12 @@ const QueryMetricSet& QueryMetrics() {
   return s;
 }
 
-/// Runs on every exit path of ExecutePattern: commits an owned trace to its
-/// tracer and feeds the query metrics (latency measured here, compile /
-/// match micros supplied as this call's deltas by the caller).
-struct QueryReporter {
-  Timer timer;
-  obs::TraceBuilder* owned_trace = nullptr;
-  obs::Tracer* commit_to = nullptr;
-  bool ok = false;
-  bool truncated = false;
-  uint64_t compile_us = 0;
-  uint64_t match_us = 0;
-  uint64_t result_docs = 0;
-  uint64_t pruned = 0;
-
-  ~QueryReporter() {
-    if (owned_trace != nullptr && commit_to != nullptr) {
-      owned_trace->Commit(commit_to);
-    }
-    if (!obs::MetricsEnabled()) return;
-    const QueryMetricSet& m = QueryMetrics();
-    m.queries->Increment();
-    if (!ok) m.errors->Increment();
-    if (truncated) m.truncated->Increment();
-    if (pruned > 0) m.pruned->Add(pruned);
-    m.latency_us->Record(static_cast<uint64_t>(timer.ElapsedMicros()));
-    m.compile_us->Record(compile_us);
-    m.match_us->Record(match_us);
-    m.result_docs->Record(result_docs);
-  }
-};
-
 }  // namespace
 
 StatusOr<CompiledQuery> QueryExecutor::CompileInternal(
     const QueryPattern& pattern, const ExecOptions& options) const {
   CompiledQuery out;
-  QueryPlanner planner(index_, schema_);
+  const QueryPlanner planner = Planner();
 
   obs::SpanScope compile_span(options.trace, "compile",
                               options.trace_parent);
@@ -124,8 +93,8 @@ StatusOr<CompiledQuery> QueryExecutor::CompileInternal(
   auto inst = [&] {
     obs::SpanScope inst_span(options.trace, "instantiate",
                              compile_span.id());
-    auto result =
-        InstantiatePattern(pattern, *dict_, *names_, *values_, inst_opts);
+    auto result = InstantiatePattern(pattern, *catalog_.dict, *catalog_.names,
+                                     *catalog_.values, inst_opts);
     if (result.ok()) {
       inst_span.Annotate("concrete_trees", result->queries.size());
       if (result->pruned > 0) inst_span.Annotate("pruned", result->pruned);
@@ -157,7 +126,8 @@ StatusOr<CompiledQuery> QueryExecutor::CompileInternal(
       out.orderings += iso.queries.size();
       out.truncated = out.truncated || iso.truncated;
       for (const ConcreteQuery& ordered : iso.queries) {
-        auto qs = BuildQuerySeq(ordered.tree, ordered.paths, *sequencer_);
+        auto qs =
+            BuildQuerySeq(ordered.tree, ordered.paths, *catalog_.sequencer);
         if (!qs.ok()) return qs.status();
         if (seen.insert(SeqKey(*qs)).second) {
           out.sequences.push_back(std::move(*qs));
@@ -194,201 +164,276 @@ StatusOr<std::vector<DocId>> QueryExecutor::ExecutePattern(
     const QueryPattern& pattern, ExecStats* stats,
     const ExecOptions& options, MatchContext* ctx) const {
   ExecStats local;
-  ExecStats* st = stats != nullptr ? stats : &local;
-
-  // Comparison predicates ([price < 30]) are a document-level filter over
-  // the structural match: probe the value index for each comparison's
-  // candidate docs, run the comparison-free skeleton through the unchanged
-  // pipeline below, and intersect. Queries without comparisons never enter
-  // this block.
-  if (HasComparisons(pattern)) {
-    std::vector<ValueComparison> cmps;
-    QueryPattern skeleton = StripComparisons(pattern, &cmps);
-    std::vector<std::vector<DocId>> cands;
-    cands.reserve(cmps.size());
-    for (const ValueComparison& c : cmps) {
-      cands.push_back(CandidateDocs(*vindex_, *dict_, *names_, c,
-                                    &st->vindex_probes,
-                                    &st->vindex_candidates));
+  QueryRun run(*this, pattern, stats != nullptr ? stats : &local, options);
+  XSEQ_RETURN_IF_ERROR(run.Start());
+  std::vector<DocId> out;
+  for (size_t p = 0; p < part_count(); ++p) {
+    auto docs = run.MatchPart(p, ctx);
+    if (!docs.ok()) return docs.status();
+    if (out.empty()) {
+      out = std::move(*docs);
+    } else {
+      out.insert(out.end(), docs->begin(), docs->end());
     }
-    // Intersect smallest-first so the running set only ever shrinks.
-    std::sort(cands.begin(), cands.end(),
-              [](const std::vector<DocId>& a, const std::vector<DocId>& b) {
-                return a.size() < b.size();
-              });
-    std::vector<DocId> docs = std::move(cands.front());
-    for (size_t i = 1; i < cands.size() && !docs.empty(); ++i) {
-      std::vector<DocId> merged;
-      std::set_intersection(docs.begin(), docs.end(), cands[i].begin(),
-                            cands[i].end(), std::back_inserter(merged));
-      docs = std::move(merged);
-    }
-    if (docs.empty()) {
-      st->result_docs = 0;
-      return std::vector<DocId>();
-    }
-    // A candidate posting exists only because its document realizes the
-    // comparison's root-to-host chain. When the skeleton IS that single
-    // chain, every candidate is already a structural match and the scan
-    // below could only re-derive a superset — return the candidates.
-    if (ComparisonImpliesSkeleton(skeleton, cmps)) {
-      st->vindex_short_circuits += 1;
-      st->result_docs = docs.size();
-      return docs;
-    }
-    auto structural = ExecutePattern(skeleton, st, options, ctx);
-    if (!structural.ok()) return structural.status();
-    std::vector<DocId> out;
-    std::set_intersection(structural->begin(), structural->end(),
-                          docs.begin(), docs.end(),
-                          std::back_inserter(out));
-    st->result_docs = out.size();
-    return out;
   }
+  return run.Finish(std::move(out));
+}
 
+QueryRun::Report::~Report() {
+  if (owned_trace != nullptr && commit_to != nullptr) {
+    owned_trace->Commit(commit_to);
+  }
+  if (!obs::MetricsEnabled()) return;
+  const QueryMetricSet& m = QueryMetrics();
+  m.queries->Increment();
+  if (!ok) m.errors->Increment();
+  if (truncated) m.truncated->Increment();
+  if (pruned > 0) m.pruned->Add(pruned);
+  m.latency_us->Record(static_cast<uint64_t>(timer.ElapsedMicros()));
+  m.compile_us->Record(compile_us);
+  m.match_us->Record(match_us);
+  m.result_docs->Record(result_docs);
+}
+
+QueryRun::QueryRun(const QueryExecutor& executor, const QueryPattern& pattern,
+                   ExecStats* stats, const ExecOptions& options)
+    : executor_(executor),
+      pattern_(&pattern),
+      stats_(stats),
+      options_(options) {}
+
+QueryRun::~QueryRun() = default;
+
+Status QueryRun::Start() {
   // Tracing: attach to the caller's builder (nested execution, e.g. a
   // DynamicIndex segment probe) or open a fresh trace bound for
   // options.tracer's ring buffer.
-  obs::TraceBuilder owned_trace;
-  ExecOptions opts = options;
-  QueryReporter report;
-  if (opts.trace == nullptr && opts.tracer != nullptr) {
-    opts.trace_parent = owned_trace.StartTrace("query");
-    opts.trace = &owned_trace;
-    report.owned_trace = &owned_trace;
-    report.commit_to = opts.tracer;
-    opts.tracer = nullptr;
+  if (options_.trace == nullptr && options_.tracer != nullptr) {
+    options_.trace_parent = owned_trace_.StartTrace("query");
+    options_.trace = &owned_trace_;
+    report_.owned_trace = &owned_trace_;
+    report_.commit_to = options_.tracer;
+    options_.tracer = nullptr;
   }
-  const uint32_t root_span = opts.trace_parent;
+  if (options_.DeadlineExpired()) return DeadlineError();
 
-  if (opts.DeadlineExpired()) return DeadlineError();
+  // Comparison predicates ([price < 30]) are a document-level filter over
+  // the structural match: each part probes its value index for each
+  // comparison's candidate docs, runs the comparison-free skeleton through
+  // the plan, and intersects.
+  if (HasComparisons(*pattern_)) {
+    skeleton_ = StripComparisons(*pattern_, &comparisons_);
+    pattern_ = &skeleton_;
+    // A candidate posting exists only because its document realizes the
+    // comparison's root-to-host chain. When the skeleton IS that single
+    // chain, every candidate is already a structural match, and no part
+    // ever needs the plan.
+    comparisons_imply_skeleton_ =
+        ComparisonImpliesSkeleton(skeleton_, comparisons_);
+    return Status::OK();
+  }
+  return EnsurePlan();
+}
 
+Status QueryRun::EnsurePlan() {
+  if (plan_ != nullptr) return Status::OK();
   // Compiled-plan resolution: cache hit -> replay; miss -> full compile,
-  // then publish. Either way `plan` points at an immutable CompiledQuery
-  // kept alive for the whole match phase (plan_holder pins cached entries
-  // even if they are evicted mid-query).
+  // then publish. Either way plan_ holds an immutable CompiledQuery for
+  // the rest of the run, even if the cache evicts it meanwhile.
   Timer compile_timer;
-  PlanCache* cache = opts.plan.cache;
-  if (opts.plan.cache_key.empty() || index_->plan_cache_id() == 0 ||
-      opts.instantiate.viable != nullptr) {
+  const uint64_t cache_id = executor_.plan_cache_id_;
+  PlanCache* cache = options_.plan.cache;
+  if (options_.plan.cache_key.empty() || cache_id == 0 ||
+      options_.instantiate.viable != nullptr) {
     // No identity to key on — or a caller predicate the key cannot encode.
     cache = nullptr;
   }
-  std::shared_ptr<const CompiledQuery> plan_holder;
-  CompiledQuery owned_plan;
-  const CompiledQuery* plan = nullptr;
   bool plan_cache_hit = false;
   std::string cache_key;
   if (cache != nullptr) {
-    cache_key = BuildPlanCacheKey(opts);
-    plan_holder = cache->Lookup(index_->plan_cache_id(), cache_key);
-    if (plan_holder != nullptr) {
-      plan = plan_holder.get();
-      st->plan_cache_hits += 1;
+    cache_key = BuildPlanCacheKey(options_);
+    plan_ = cache->Lookup(cache_id, cache_key);
+    if (plan_ != nullptr) {
+      stats_->plan_cache_hits += 1;
       plan_cache_hit = true;
-      obs::SpanScope compile_span(opts.trace, "compile", root_span);
+      obs::SpanScope compile_span(options_.trace, "compile",
+                                  options_.trace_parent);
       compile_span.Annotate("plan_cache_hit", 1);
-      compile_span.Annotate("sequences", plan->sequences.size());
+      compile_span.Annotate("sequences", plan_->sequences.size());
     }
   }
-  if (plan == nullptr) {
-    auto cq = CompileInternal(pattern, opts);
+  if (plan_ == nullptr) {
+    auto cq = executor_.CompileInternal(*pattern_, options_);
     if (!cq.ok()) return cq.status();
-    if (cache != nullptr) {
-      auto sp = std::make_shared<CompiledQuery>(std::move(*cq));
-      cache->Insert(index_->plan_cache_id(), cache_key, sp);
-      plan_holder = std::move(sp);
-      plan = plan_holder.get();
-    } else {
-      owned_plan = std::move(*cq);
-      plan = &owned_plan;
-    }
+    auto compiled = std::make_shared<const CompiledQuery>(std::move(*cq));
+    if (cache != nullptr) cache->Insert(cache_id, cache_key, compiled);
+    plan_ = std::move(compiled);
   }
-  // Compile-side counters are a pure function of (index, query, knobs), so
-  // replaying them from a cached plan matches a fresh compile exactly.
-  const int64_t compile_before = st->compile_micros;
-  st->instantiations += plan->instantiations;
-  st->orderings += plan->orderings;
-  st->pruned_instantiations += plan->pruned;
-  st->truncated = st->truncated || plan->truncated;
-  st->matched_sequences += plan->sequences.size();
-  st->compile_micros += compile_timer.ElapsedMicros();
-  report.compile_us =
-      static_cast<uint64_t>(st->compile_micros - compile_before);
-  report.truncated = st->truncated;
-  report.pruned = plan->pruned;
-
-  const uint64_t entries_before = st->match.link_entries_read;
-  if (opts.explain != nullptr) {
-    QueryExplain& ex = *opts.explain;
-    ex.instantiations += plan->instantiations;
-    ex.orderings += plan->orderings;
-    ex.pruned += plan->pruned;
-    ex.sequences += plan->sequences.size();
+  // Compile-side counters are a pure function of (catalog, parts, query,
+  // knobs), so replaying them from a cached plan matches a fresh compile
+  // exactly. They describe the one compile, however many parts match it.
+  const int64_t compile_us = compile_timer.ElapsedMicros();
+  stats_->instantiations += plan_->instantiations;
+  stats_->orderings += plan_->orderings;
+  stats_->pruned_instantiations += plan_->pruned;
+  stats_->truncated = stats_->truncated || plan_->truncated;
+  stats_->compile_micros += compile_us;
+  report_.compile_us += static_cast<uint64_t>(compile_us);
+  report_.pruned += plan_->pruned;
+  report_.truncated = report_.truncated || plan_->truncated;
+  if (options_.explain != nullptr) {
+    QueryExplain& ex = *options_.explain;
+    ex.instantiations += plan_->instantiations;
+    ex.orderings += plan_->orderings;
+    ex.pruned += plan_->pruned;
     ex.plan_cache_hit = ex.plan_cache_hit || plan_cache_hit;
-    ex.truncated = ex.truncated || plan->truncated;
+    ex.truncated = ex.truncated || plan_->truncated;
     ex.predicted_cost =
-        ex.predicted_cost + plan->predicted_cost < ex.predicted_cost
+        ex.predicted_cost + plan_->predicted_cost < ex.predicted_cost
             ? UINT64_MAX
-            : ex.predicted_cost + plan->predicted_cost;
-    ex.compile_micros += st->compile_micros - compile_before;
-    QueryPlanner planner(index_, schema_);
-    for (const QuerySeq& qs : plan->sequences) {
-      QueryPlanner::SeqSelectivity sel = planner.Selectivity(qs);
+            : ex.predicted_cost + plan_->predicted_cost;
+    ex.compile_micros += compile_us;
+  }
+  return Status::OK();
+}
+
+StatusOr<std::vector<DocId>> QueryRun::MatchPart(size_t p, MatchContext* ctx,
+                                                 uint32_t trace_parent) {
+  if (trace_parent == obs::kNoSpan) trace_parent = options_.trace_parent;
+  if (comparisons_.empty()) return MatchPlan(p, ctx, trace_parent);
+
+  const IndexPart& part = executor_.part(p);
+  const CatalogView& cat = executor_.catalog_;
+  std::vector<std::vector<DocId>> cands;
+  cands.reserve(comparisons_.size());
+  for (const ValueComparison& c : comparisons_) {
+    cands.push_back(CandidateDocs(*part.vindex, *cat.dict, *cat.names, c,
+                                  &stats_->vindex_probes,
+                                  &stats_->vindex_candidates));
+  }
+  // Intersect smallest-first so the running set only ever shrinks.
+  std::sort(cands.begin(), cands.end(),
+            [](const std::vector<DocId>& a, const std::vector<DocId>& b) {
+              return a.size() < b.size();
+            });
+  std::vector<DocId> docs = std::move(cands.front());
+  for (size_t i = 1; i < cands.size() && !docs.empty(); ++i) {
+    std::vector<DocId> merged;
+    std::set_intersection(docs.begin(), docs.end(), cands[i].begin(),
+                          cands[i].end(), std::back_inserter(merged));
+    docs = std::move(merged);
+  }
+  if (docs.empty()) return docs;
+  if (comparisons_imply_skeleton_) {
+    stats_->vindex_short_circuits += 1;
+    return docs;
+  }
+  XSEQ_RETURN_IF_ERROR(EnsurePlan());
+  auto structural = MatchPlan(p, ctx, trace_parent);
+  if (!structural.ok()) return structural.status();
+  std::vector<DocId> out;
+  std::set_intersection(structural->begin(), structural->end(), docs.begin(),
+                        docs.end(), std::back_inserter(out));
+  return out;
+}
+
+StatusOr<std::vector<DocId>> QueryRun::MatchPlan(size_t p, MatchContext* ctx,
+                                                 uint32_t trace_parent) {
+  const FrozenIndex& index = *executor_.part(p).index;
+  const QueryPlanner part_planner(&index, executor_.catalog_.schema);
+  // A one-part plan was filtered and ordered for its part at compile time;
+  // a plan shared by several parts is filtered and ordered again by this
+  // part's own links.
+  const std::vector<QuerySeq>& seqs = plan_->sequences;
+  std::vector<uint32_t> order;
+  const bool reorder =
+      executor_.part_count() > 1 && options_.plan.selectivity;
+  if (reorder) order = part_planner.PartOrder(seqs);
+  const size_t n = reorder ? order.size() : seqs.size();
+  auto seq_at = [&](size_t i) -> const QuerySeq& {
+    return reorder ? seqs[order[i]] : seqs[i];
+  };
+  stats_->matched_sequences += n;
+
+  const uint64_t entries_before = stats_->match.link_entries_read;
+  if (options_.explain != nullptr) {
+    QueryExplain& ex = *options_.explain;
+    ex.sequences += n;
+    const int32_t shard =
+        executor_.part_count() > 1 ? static_cast<int32_t>(p) : -1;
+    for (size_t i = 0; i < n; ++i) {
+      const QuerySeq& qs = seq_at(i);
+      QueryPlanner::SeqSelectivity sel = part_planner.Selectivity(qs);
       QueryExplain::SeqEntry entry;
       entry.positions = static_cast<uint32_t>(qs.size());
       entry.anchor_cardinality = sel.min_cardinality;
       entry.anchor = static_cast<uint32_t>(sel.anchor);
+      entry.shard = shard;
       ex.seq.push_back(entry);
     }
   }
 
   Timer timer;
   std::vector<DocId> out;
-
   // Callers that pass no context get a pooled one for the duration of the
   // call: the loop below then reuses one decoded-block cache across every
   // compiled sequence instead of rebuilding scratch per sequence.
+  std::unique_ptr<MatchContext> fresh;
   std::optional<MatchContextLease> ctx_lease;
   if (ctx == nullptr) {
-    ctx_lease.emplace(&ctx_pool_);
-    ctx = ctx_lease->get();
+    if (executor_.contexts_ != nullptr) {
+      ctx_lease.emplace(executor_.contexts_);
+      ctx = ctx_lease->get();
+    } else {
+      fresh = std::make_unique<MatchContext>();
+      ctx = fresh.get();
+    }
   }
 
-  obs::SpanScope match_span(opts.trace, "match", root_span);
+  obs::SpanScope match_span(options_.trace, "match", trace_parent);
   // Per-sequence stats go through a local delta so each span (a no-op when
   // untraced) can carry its own counters.
-  for (const QuerySeq& qs : plan->sequences) {
-    if (opts.DeadlineExpired()) return DeadlineError();
-    obs::SpanScope seq_span(opts.trace, "match_seq", match_span.id());
+  for (size_t i = 0; i < n; ++i) {
+    if (options_.DeadlineExpired()) return DeadlineError();
+    const QuerySeq& qs = seq_at(i);
+    obs::SpanScope seq_span(options_.trace, "match_seq", match_span.id());
     MatchStats seq_stats;
-    size_t docs_before = out.size();
+    const size_t docs_before = out.size();
     XSEQ_RETURN_IF_ERROR(
-        MatchSequence(*index_, qs, opts.mode, &out, &seq_stats, ctx));
+        MatchSequence(index, qs, options_.mode, &out, &seq_stats, ctx));
     seq_span.Annotate("positions", qs.size());
     seq_span.Annotate("entries_read", seq_stats.link_entries_read);
     seq_span.Annotate("docs", out.size() - docs_before);
-    st->match.Add(seq_stats);
+    stats_->match.Add(seq_stats);
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   match_span.End();
-  st->match_micros += timer.ElapsedMicros();
-  st->result_docs = out.size();
-  report.ok = true;
-  report.truncated = st->truncated;
-  report.match_us = static_cast<uint64_t>(timer.ElapsedMicros());
-  report.result_docs = out.size();
-  if (opts.trace != nullptr) {
-    opts.trace->Annotate(root_span, "sequences", plan->sequences.size());
-    opts.trace->Annotate(root_span, "result_docs", out.size());
-  }
-  if (opts.explain != nullptr) {
-    opts.explain->match_micros += static_cast<int64_t>(report.match_us);
-    opts.explain->actual_cost += st->match.link_entries_read - entries_before;
-    opts.explain->result_docs += out.size();
+  const int64_t match_us = timer.ElapsedMicros();
+  stats_->match_micros += match_us;
+  report_.match_us += static_cast<uint64_t>(match_us);
+  if (options_.explain != nullptr) {
+    options_.explain->match_micros += match_us;
+    options_.explain->actual_cost +=
+        stats_->match.link_entries_read - entries_before;
   }
   return out;
+}
+
+std::vector<DocId> QueryRun::Finish(std::vector<DocId> docs) {
+  std::sort(docs.begin(), docs.end());
+  docs.erase(std::unique(docs.begin(), docs.end()), docs.end());
+  stats_->result_docs = docs.size();
+  report_.ok = true;
+  report_.result_docs = docs.size();
+  if (options_.trace != nullptr) {
+    options_.trace->Annotate(options_.trace_parent, "sequences",
+                             plan_ != nullptr ? plan_->sequences.size() : 0);
+    options_.trace->Annotate(options_.trace_parent, "result_docs",
+                             docs.size());
+  }
+  if (options_.explain != nullptr) options_.explain->result_docs += docs.size();
+  return docs;
 }
 
 StatusOr<std::vector<DocId>> QueryExecutor::Execute(

@@ -9,15 +9,25 @@
 // Compiled sequences are deduplicated, so the isomorphism expansion of
 // structurally equal branches costs nothing extra at match time.
 //
-// A query runs start to finish on its calling thread: its sequences are
-// matched one after another. Parallelism lives above the executor, across
-// queries (execution slots in the server, CollectionIndex::QueryBatch) and
-// in index builds.
+// An executor runs over the parts of one collection: every part is a trie
+// and a value index keyed by the one path dictionary, vocabulary,
+// sequencer and schema they share. A query compiles once against those
+// (QueryRun), then each part drops the sequences with an empty link in it,
+// orders the rest by its own link sizes, and matches. A CollectionIndex or
+// a DynamicIndex segment is a one-part executor; the shards of a static
+// ShardedCollection are the parts of one.
+//
+// A query runs start to finish on its calling thread: its parts and
+// sequences are matched one after another. Parallelism lives above the
+// executor, across queries (execution slots in the server,
+// CollectionIndex::QueryBatch) and in index builds.
 
 #ifndef XSEQ_SRC_QUERY_EXECUTOR_H_
 #define XSEQ_SRC_QUERY_EXECUTOR_H_
 
 #include <chrono>
+#include <memory>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -28,10 +38,10 @@
 #include "src/query/planner.h"
 #include "src/query/query_pattern.h"
 #include "src/schema/schema.h"
+#include "src/util/timer.h"
+#include "src/vindex/compare.h"
 
 namespace xseq {
-
-class ValueIndex;
 
 /// Steady-clock "now" in microseconds, the time base for
 /// ExecOptions::deadline_micros (absolute, not a duration).
@@ -130,35 +140,50 @@ struct ExecStats {
   }
 };
 
+/// The vocabulary, path dictionary, sequencer and schema a compile reads;
+/// every part of one collection shares them.
+struct CatalogView {
+  const PathDict* dict = nullptr;
+  const NameTable* names = nullptr;
+  const ValueEncoder* values = nullptr;
+  const Sequencer* sequencer = nullptr;
+  /// Build-time statistics for the planner (repeatability); may be null,
+  /// planning then uses the parts' exact link cardinalities alone.
+  const Schema* schema = nullptr;
+};
+
 /// Stateless facade over the pieces a query needs. All referenced objects
 /// must outlive the executor.
 class QueryExecutor {
  public:
-  /// `schema`, when non-null, supplies the planner's build-time statistics
-  /// (repeatability, weights); planning still works without it using the
-  /// index's exact link cardinalities alone. `vindex` answers comparison
-  /// predicates ([price < 30]).
-  QueryExecutor(const FrozenIndex* index, const PathDict* dict,
-                const NameTable* names, const ValueEncoder* values,
-                const Sequencer* sequencer, const Schema* schema,
-                const ValueIndex& vindex)
-      : index_(index),
-        dict_(dict),
-        names_(names),
-        values_(values),
-        sequencer_(sequencer),
-        schema_(schema),
-        vindex_(&vindex) {}
+  /// An executor over one part. `plan_cache_id` keys its compiled queries
+  /// (0 = never cached); calls that pass no MatchContext lease one from
+  /// `contexts` (null = a fresh context per call).
+  QueryExecutor(const CatalogView& catalog, IndexPart part,
+                uint64_t plan_cache_id, MatchContextPool* contexts)
+      : catalog_(catalog),
+        one_(part),
+        plan_cache_id_(plan_cache_id),
+        contexts_(contexts) {}
+  /// An executor over several parts sharing `catalog`; `parts` must
+  /// outlive it.
+  QueryExecutor(const CatalogView& catalog, std::span<const IndexPart> parts,
+                uint64_t plan_cache_id, MatchContextPool* contexts)
+      : catalog_(catalog),
+        parts_(parts),
+        plan_cache_id_(plan_cache_id),
+        contexts_(contexts) {}
 
   /// Parses and runs `xpath`; returns sorted, deduplicated document ids.
   /// `ctx`, when given, supplies reusable match scratch (see MatchContext);
-  /// it is reused across the query's compiled sequences and across calls.
+  /// it is reused across the query's parts and sequences and across calls.
   StatusOr<std::vector<DocId>> Execute(std::string_view xpath,
                                        ExecStats* stats = nullptr,
                                        const ExecOptions& options = {},
                                        MatchContext* ctx = nullptr) const;
 
-  /// Runs an already-parsed pattern.
+  /// Runs an already-parsed pattern on every part: a QueryRun matched
+  /// part by part.
   StatusOr<std::vector<DocId>> ExecutePattern(
       const QueryPattern& pattern, ExecStats* stats = nullptr,
       const ExecOptions& options = {}, MatchContext* ctx = nullptr) const;
@@ -174,22 +199,103 @@ class QueryExecutor {
       const;
 
  private:
-  /// The full compile pipeline: instantiate (with pruning) -> cost-capped
-  /// ordering expansion -> sequence build -> dedup -> selectivity order.
+  friend class QueryRun;
+
+  /// The full compile pipeline: instantiate (with pruning) -> ordering
+  /// expansion -> sequence build -> dedup -> selectivity order.
   StatusOr<CompiledQuery> CompileInternal(const QueryPattern& pattern,
                                           const ExecOptions& options) const;
 
-  const FrozenIndex* index_;
-  const PathDict* dict_;
-  const NameTable* names_;
-  const ValueEncoder* values_;
-  const Sequencer* sequencer_;
-  const Schema* schema_;
-  const ValueIndex* vindex_;
-  /// Leased to calls that pass no MatchContext, so matching stays
-  /// allocation-free across queries (the decoded-block cache in
-  /// particular is too big to rebuild per call).
-  mutable MatchContextPool ctx_pool_;
+  size_t part_count() const { return parts_.empty() ? 1 : parts_.size(); }
+  const IndexPart& part(size_t p) const {
+    return parts_.empty() ? one_ : parts_[p];
+  }
+
+  /// Plans over every part (cardinalities summed over them).
+  QueryPlanner Planner() const {
+    return parts_.empty() ? QueryPlanner(one_.index, catalog_.schema)
+                          : QueryPlanner(parts_, catalog_.schema);
+  }
+
+  CatalogView catalog_;
+  IndexPart one_;                      ///< the part, when parts_ is empty
+  std::span<const IndexPart> parts_;
+  uint64_t plan_cache_id_ = 0;
+  MatchContextPool* contexts_ = nullptr;
+};
+
+/// One query over an executor's parts, on the calling thread: compiled at
+/// most once (through the plan cache), then matched part by part.
+/// QueryExecutor::ExecutePattern is Start(), MatchPart() on every part and
+/// Finish(); ShardedCollection::Query runs the same steps with a probe
+/// span per shard. The run writes into `stats` and `options.explain` as it
+/// goes; `pattern`, `stats` and the executor must outlive it.
+class QueryRun {
+ public:
+  QueryRun(const QueryExecutor& executor, const QueryPattern& pattern,
+           ExecStats* stats, const ExecOptions& options);
+  ~QueryRun();
+
+  QueryRun(const QueryRun&) = delete;
+  QueryRun& operator=(const QueryRun&) = delete;
+
+  /// Opens the run: starts an owned trace when the options carry only a
+  /// tracer, checks the deadline, splits off comparison predicates, and
+  /// compiles — unless the query has comparisons, whose parts compile only
+  /// when their value postings leave a structural match to do.
+  Status Start();
+
+  /// Answers the query on part `p`: its sorted, deduplicated ids. Match
+  /// counters add to the run's stats, the part's spans hang under
+  /// `trace_parent` (kNoSpan = the run's root), and explain gets one row
+  /// per matched sequence (tagged with `p` when the executor has several
+  /// parts).
+  StatusOr<std::vector<DocId>> MatchPart(size_t p, MatchContext* ctx,
+                                         uint32_t trace_parent = obs::kNoSpan);
+
+  /// Closes a successful run: sorts and deduplicates `docs`, the union of
+  /// the parts' answers, and records the result.
+  std::vector<DocId> Finish(std::vector<DocId> docs);
+
+  /// The trace this run records into (null when untraced) and its root.
+  obs::TraceBuilder* trace() const { return options_.trace; }
+  uint32_t root_span() const { return options_.trace_parent; }
+
+ private:
+  /// Resolves the plan: a plan-cache hit or one compile (then published).
+  Status EnsurePlan();
+  /// Matches the plan's sequences on part `p`, in that part's order.
+  StatusOr<std::vector<DocId>> MatchPlan(size_t p, MatchContext* ctx,
+                                         uint32_t trace_parent);
+
+  /// Runs on every exit path of the run: commits an owned trace to its
+  /// tracer and feeds the query metrics.
+  struct Report {
+    Timer timer;
+    obs::TraceBuilder* owned_trace = nullptr;
+    obs::Tracer* commit_to = nullptr;
+    bool ok = false;
+    bool truncated = false;
+    uint64_t compile_us = 0;
+    uint64_t match_us = 0;
+    uint64_t result_docs = 0;
+    uint64_t pruned = 0;
+    Report() = default;
+    Report(const Report&) = delete;
+    Report& operator=(const Report&) = delete;
+    ~Report();
+  };
+
+  const QueryExecutor& executor_;
+  const QueryPattern* pattern_;   ///< the structural pattern to compile
+  ExecStats* stats_;
+  ExecOptions options_;           ///< trace wired to the run's root
+  obs::TraceBuilder owned_trace_;
+  Report report_;                 ///< destroyed first: commits owned_trace_
+  QueryPattern skeleton_;                  ///< `pattern` minus comparisons
+  std::vector<ValueComparison> comparisons_;
+  bool comparisons_imply_skeleton_ = false;
+  std::shared_ptr<const CompiledQuery> plan_;
 };
 
 }  // namespace xseq

@@ -188,28 +188,35 @@ QueryPlanner::SeqSelectivity QueryPlanner::Selectivity(
   return out;
 }
 
-size_t QueryPlanner::OrderBySelectivity(std::vector<QuerySeq>* seqs) const {
-  std::vector<std::pair<uint64_t, size_t>> keyed;  // (min card, orig index)
-  keyed.reserve(seqs->size());
-  size_t dropped = 0;
-  for (size_t i = 0; i < seqs->size(); ++i) {
-    uint64_t c = Selectivity((*seqs)[i]).min_cardinality;
-    if (c == 0 && !(*seqs)[i].paths.empty()) {
-      ++dropped;
-      continue;  // a zero-occurrence position can never be matched
-    }
-    keyed.emplace_back(c, i);
+std::vector<uint32_t> QueryPlanner::PartOrder(
+    const std::vector<QuerySeq>& seqs) const {
+  std::vector<std::pair<uint64_t, uint32_t>> keyed;  // (min card, position)
+  keyed.reserve(seqs.size());
+  for (size_t i = 0; i < seqs.size(); ++i) {
+    const uint64_t c = Selectivity(seqs[i]).min_cardinality;
+    // A zero-occurrence position can never be matched.
+    if (c == 0 && !seqs[i].paths.empty()) continue;
+    keyed.emplace_back(c, static_cast<uint32_t>(i));
   }
-  // Stable on the original index so equal-selectivity sequences keep their
-  // compile order (determinism under replay).
+  // Stable on the original position so equal-selectivity sequences keep
+  // their compile order (determinism under replay).
   std::stable_sort(keyed.begin(), keyed.end(),
                    [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<QuerySeq> out;
-  out.reserve(keyed.size());
+  std::vector<uint32_t> order;
+  order.reserve(keyed.size());
   for (const auto& [c, i] : keyed) {
     (void)c;
-    out.push_back(std::move((*seqs)[i]));
+    order.push_back(i);
   }
+  return order;
+}
+
+size_t QueryPlanner::OrderBySelectivity(std::vector<QuerySeq>* seqs) const {
+  const std::vector<uint32_t> order = PartOrder(*seqs);
+  std::vector<QuerySeq> out;
+  out.reserve(order.size());
+  for (uint32_t i : order) out.push_back(std::move((*seqs)[i]));
+  const size_t dropped = seqs->size() - out.size();
   *seqs = std::move(out);
   return dropped;
 }

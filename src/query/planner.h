@@ -26,6 +26,7 @@
 #define XSEQ_SRC_QUERY_PLANNER_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -38,6 +39,15 @@
 namespace xseq {
 
 class PlanCache;
+class ValueIndex;
+
+/// One part of a collection as the planner and executor read it: a trie
+/// (links and doc lists) and the value index over the same documents,
+/// both keyed by the PathIds of the dictionary every part shares.
+struct IndexPart {
+  const FrozenIndex* index = nullptr;
+  const ValueIndex* vindex = nullptr;
+};
 
 /// The process-wide compiled-query cache (see src/query/plan_cache.h);
 /// declared here so PlanOptions can default to it without the full type.
@@ -59,8 +69,12 @@ struct PlanOptions {
 };
 
 /// A planned, deduplicated, selectivity-ordered compilation of one query
-/// against one index — everything match-time needs, plus the compile-side
-/// counters so a cache hit replays identical ExecStats.
+/// against the parts of one collection — everything match-time needs, plus
+/// the compile-side counters so a cache hit replays identical ExecStats.
+/// Pruning and ordering use the link cardinalities summed over the parts,
+/// so a one-part plan is filtered and ordered for exactly that part; each
+/// part of a larger collection drops and orders the sequences again by its
+/// own links before matching (QueryPlanner::PartOrder).
 struct CompiledQuery {
   std::vector<QuerySeq> sequences;
   size_t instantiations = 0;  ///< concrete trees after wildcard resolution
@@ -125,19 +139,35 @@ struct QueryExplain {
   std::string ToString() const;
 };
 
-/// Stateless planning helpers over one index (and optionally its schema).
-/// Both referenced objects must outlive the planner.
+/// Stateless planning helpers over one index, or over the parts of one
+/// collection (and optionally their shared schema). The referenced objects
+/// must outlive the planner.
 class QueryPlanner {
  public:
   explicit QueryPlanner(const FrozenIndex* index,
                         const Schema* schema = nullptr)
       : index_(index), schema_(schema) {}
+  /// Over several parts: cardinalities are sums over the parts.
+  QueryPlanner(std::span<const IndexPart> parts, const Schema* schema)
+      : index_(nullptr), parts_(parts), schema_(schema) {}
 
-  /// Exact occurrence count of `path` in the index (its link length).
-  uint64_t Cardinality(PathId path) const { return index_->LinkSize(path); }
+  /// Exact occurrence count of `path` (its link length, summed over the
+  /// parts).
+  uint64_t Cardinality(PathId path) const {
+    if (index_ != nullptr) return index_->LinkSize(path);
+    uint64_t n = 0;
+    for (const IndexPart& part : parts_) n += part.index->LinkSize(path);
+    return n;
+  }
 
   /// True when `path` occurs at all — the instantiation pruning predicate.
-  bool Viable(PathId path) const { return index_->LinkSize(path) != 0; }
+  bool Viable(PathId path) const {
+    if (index_ != nullptr) return index_->LinkSize(path) != 0;
+    for (const IndexPart& part : parts_) {
+      if (part.index->LinkSize(path) != 0) return true;
+    }
+    return false;
+  }
 
   /// Number of orderings ExpandIsomorphisms would emit for `query`:
   /// the product of factorials of its identical-path sibling group sizes,
@@ -165,8 +195,13 @@ class QueryPlanner {
   /// dropped.
   size_t OrderBySelectivity(std::vector<QuerySeq>* seqs) const;
 
+  /// The same selection and order as positions into `seqs`, which stay
+  /// untouched: how one part matches a plan shared by several parts.
+  std::vector<uint32_t> PartOrder(const std::vector<QuerySeq>& seqs) const;
+
  private:
   const FrozenIndex* index_;
+  std::span<const IndexPart> parts_;
   const Schema* schema_;
 };
 

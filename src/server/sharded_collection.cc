@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <utility>
 
 #include "src/obs/metrics.h"
 #include "src/query/query_pattern.h"
 #include "src/seq/reconstruct.h"
-#include "src/util/coding.h"
 #include "src/util/hash.h"
 #include "src/util/timer.h"
 
@@ -38,24 +38,6 @@ const ShardMetricSet& ShardMetrics() {
   return s;
 }
 
-constexpr char kManifestMagic[8] = {'X', 'S', 'E', 'Q', 'S', 'H', 'R', 'D'};
-constexpr uint8_t kManifestVersion = 1;
-
-/// Encodes and atomically writes the manifest. It goes last in every save:
-/// its presence certifies that every shard file landed. Torn multi-file
-/// saves leave the old manifest (or none).
-Status WriteShardedManifest(const std::string& prefix, size_t shard_count,
-                            uint64_t total_docs,
-                            const PersistOptions& persist) {
-  std::string manifest(kManifestMagic, sizeof(kManifestMagic));
-  manifest.push_back(static_cast<char>(kManifestVersion));
-  PutFixed32(&manifest, static_cast<uint32_t>(shard_count));
-  PutFixed64(&manifest, total_docs);
-  PutFixed64(&manifest, Fnv1a64(manifest));
-  Env* env = persist.env != nullptr ? persist.env : Env::Default();
-  return AtomicWriteFile(env, prefix, manifest);
-}
-
 }  // namespace
 
 std::string ShardImagePath(const std::string& prefix, size_t shard) {
@@ -64,36 +46,39 @@ std::string ShardImagePath(const std::string& prefix, size_t shard) {
 
 StatusOr<ShardedManifest> ReadShardedManifest(const std::string& prefix,
                                               const PersistOptions& persist) {
-  Env* env = persist.env != nullptr ? persist.env : Env::Default();
   std::string manifest;
-  XSEQ_RETURN_IF_ERROR(env->ReadFileToString(prefix, &manifest));
-  if (manifest.size() < sizeof(kManifestMagic) + 1 + 4 + 8 + 8 ||
-      std::memcmp(manifest.data(), kManifestMagic, sizeof(kManifestMagic)) !=
-          0) {
-    return Status::Corruption("not a sharded-collection manifest: " + prefix);
+  XSEQ_RETURN_IF_ERROR(ReadImageFile(prefix, persist, &manifest));
+  return DecodeShardedManifest(manifest, /*with_catalog=*/false);
+}
+
+Status VerifyShardImages(const std::string& prefix,
+                         const ShardedManifest& manifest,
+                         const PersistOptions& persist) {
+  uint64_t documents = 0;
+  for (uint32_t s = 0; s < manifest.shard_count; ++s) {
+    const std::string path = ShardImagePath(prefix, s);
+    const std::string where = "shard " + std::to_string(s) + " (" + path + ")";
+    std::string data;
+    Status read = ReadImageFile(path, persist, &data);
+    if (!read.ok()) return AnnotateStatus(read, where);
+    IndexFileReport report = InspectEncodedIndex(data);
+    if (!report.status.ok()) return AnnotateStatus(report.status, where);
+    if (report.kind != "part") {
+      return Status::Corruption(where + ": not a shard part file");
+    }
+    if (report.catalog_id != manifest.catalog_id) {
+      return Status::Corruption(
+          where + ": part belongs to another save (its manifest identity "
+                  "differs)");
+    }
+    documents += report.documents;
   }
-  if (Fnv1a64(std::string_view(manifest.data(), manifest.size() - 8)) !=
-      [&] {
-        Decoder tail(std::string_view(manifest).substr(manifest.size() - 8));
-        uint64_t sum = 0;
-        (void)tail.GetFixed64(&sum);
-        return sum;
-      }()) {
-    return Status::Corruption("sharded manifest checksum mismatch");
+  if (documents != manifest.total_documents) {
+    return Status::Corruption(
+        "manifest counts " + std::to_string(manifest.total_documents) +
+        " documents but its parts hold " + std::to_string(documents));
   }
-  Decoder in(std::string_view(manifest).substr(sizeof(kManifestMagic)));
-  std::string_view version_raw;
-  XSEQ_RETURN_IF_ERROR(in.GetRaw(1, &version_raw));
-  if (static_cast<uint8_t>(version_raw[0]) != kManifestVersion) {
-    return Status::Unimplemented("unsupported sharded manifest version");
-  }
-  ShardedManifest out;
-  XSEQ_RETURN_IF_ERROR(in.GetFixed32(&out.shard_count));
-  if (out.shard_count == 0 || out.shard_count > 4096) {
-    return Status::Corruption("implausible shard count in manifest");
-  }
-  XSEQ_RETURN_IF_ERROR(in.GetFixed64(&out.total_documents));
-  return out;
+  return Status::OK();
 }
 
 size_t ShardOfDoc(DocId id, size_t shards) {
@@ -116,10 +101,8 @@ ShardedCollection::ShardedCollection(ShardedOptions options)
       dynamic_shards_.push_back(std::make_unique<DynamicIndex>(dyn));
     }
   } else {
-    builders_.reserve(shard_count());
-    for (size_t s = 0; s < shard_count(); ++s) {
-      builders_.push_back(std::make_unique<CollectionBuilder>(options_.index));
-    }
+    builder_ =
+        std::make_unique<CollectionBuilder>(options_.index, shard_count());
   }
   if (obs::MetricsEnabled()) {
     ShardMetrics().shard_count->Set(static_cast<int64_t>(shard_count()));
@@ -130,16 +113,12 @@ ShardedCollection::~ShardedCollection() = default;
 
 NameTable* ShardedCollection::names(size_t shard) {
   if (options_.dynamic) return dynamic_shards_[shard]->names();
-  return shard < builders_.size() && builders_[shard] != nullptr
-             ? builders_[shard]->names()
-             : nullptr;
+  return builder_ != nullptr ? builder_->names() : nullptr;
 }
 
 ValueEncoder* ShardedCollection::values(size_t shard) {
   if (options_.dynamic) return dynamic_shards_[shard]->values();
-  return shard < builders_.size() && builders_[shard] != nullptr
-             ? builders_[shard]->values()
-             : nullptr;
+  return builder_ != nullptr ? builder_->values() : nullptr;
 }
 
 Status ShardedCollection::Add(Document&& doc) {
@@ -149,12 +128,12 @@ Status ShardedCollection::Add(Document&& doc) {
     if (st.ok()) ++added_docs_;
     return st;
   }
-  if (sealed_) {
+  if (builder_ == nullptr) {
     return Status::FailedPrecondition(
         "static ShardedCollection is sealed; use the dynamic backend for "
         "insertion-after-build");
   }
-  Status st = builders_[shard]->Add(std::move(doc));
+  Status st = builder_->Add(std::move(doc), shard);
   if (st.ok()) ++added_docs_;
   return st;
 }
@@ -196,22 +175,32 @@ Status ShardedCollection::Seal() {
     return Status::OK();
   }
   if (sealed_) return Status::OK();
-  const size_t n = builders_.size();
-  shards_.resize(n);
-  std::vector<Status> results(n);
+  if (builder_ == nullptr) {
+    return Status::FailedPrecondition("an earlier Seal() failed");
+  }
   std::unique_ptr<ThreadPool> owned;
-  PoolFor(options_.threads, &owned)->ParallelFor(n, [&](size_t s) {
-    auto built = std::move(*builders_[s]).Finish();
-    if (!built.ok()) {
-      results[s] = built.status();
-      return;
-    }
-    shards_[s] = std::make_unique<CollectionIndex>(std::move(*built));
-  });
-  builders_.clear();
+  auto built =
+      std::move(*builder_).FinishParts(PoolFor(options_.threads, &owned));
+  builder_.reset();
+  if (!built.ok()) return built.status();
+  shards_.reserve(built->size());
+  for (CollectionIndex& shard : *built) {
+    shards_.push_back(std::make_unique<CollectionIndex>(std::move(shard)));
+  }
+  BindParts();
   sealed_ = true;
-  for (const Status& st : results) XSEQ_RETURN_IF_ERROR(st);
   return Status::OK();
+}
+
+void ShardedCollection::BindParts() {
+  parts_.clear();
+  for (const auto& shard : shards_) parts_.push_back(shard->part());
+  plan_cache_id_ = FrozenIndex::NextIndexCacheId();
+}
+
+QueryExecutor ShardedCollection::executor() const {
+  return QueryExecutor(shards_.front()->catalog()->view(), parts_,
+                       plan_cache_id_, match_contexts_.get());
 }
 
 bool ShardedCollection::sealed() const {
@@ -226,23 +215,29 @@ StatusOr<QueryResult> ShardedCollection::Query(
   const bool metrics = obs::MetricsEnabled();
   if (metrics) ShardMetrics().queries->Increment();
 
-  // Per-shard options: everything (mode, deadline, tracing) rides along.
-  // The query text keys the per-shard plan caches (static shards set it
-  // inside Query(); dynamic probes skip the parse, so set it here).
-  ExecOptions shard_opts = options;
-  if (shard_opts.plan.cache_key.empty()) shard_opts.plan.cache_key = xpath;
+  // The query text keys the plan cache: the collection's one entry on the
+  // static backend, each segment's on the dynamic one.
+  ExecOptions opts = options;
+  if (opts.plan.cache_key.empty()) opts.plan.cache_key = xpath;
+  auto pattern = ParseXPath(xpath);
+  if (!pattern.ok()) return pattern.status();
 
-  // The dynamic backend compiles from a pattern so the XPath parse happens
-  // once, not once per shard.
-  QueryPattern pattern;
-  if (options_.dynamic) {
-    auto parsed = ParseXPath(xpath);
-    if (!parsed.ok()) return parsed.status();
-    pattern = std::move(*parsed);
-  }
-
-  obs::TraceBuilder* tb = options.trace;
   QueryResult out;
+  // Static backend: one run compiles once against the shared catalog and
+  // matches shard by shard.
+  std::optional<QueryExecutor> static_executor;
+  std::optional<QueryRun> run;
+  std::optional<MatchContextLease> lease;
+  if (!options_.dynamic) {
+    static_executor.emplace(executor());
+    run.emplace(*static_executor, *pattern, &out.stats, opts);
+    XSEQ_RETURN_IF_ERROR(run->Start());
+    lease.emplace(match_contexts_.get());
+  }
+  obs::TraceBuilder* tb = run ? run->trace() : opts.trace;
+  const uint32_t root = run ? run->root_span() : opts.trace_parent;
+
+  std::vector<DocId> docs;
   Status first_error;
   // Shards are probed one after another on the calling thread, which holds
   // the query's execution slot; parallelism comes from concurrent queries.
@@ -250,79 +245,73 @@ StatusOr<QueryResult> ShardedCollection::Query(
   // returned and nothing after it is merged.
   for (size_t s = 0; s < shard_count(); ++s) {
     Timer timer;
-    // Per-probe options: each shard gets its own trace span to attach
-    // under and its own explain, merged into the caller's sink below.
-    ExecOptions opts = shard_opts;
-    QueryExplain part_explain;
-    obs::SpanScope probe_span(tb, "shard_probe", options.trace_parent);
-    if (tb != nullptr) {
-      probe_span.Annotate("shard", static_cast<uint64_t>(s));
-      opts.trace = tb;
-      opts.trace_parent = probe_span.id();
-    }
-    if (options.explain != nullptr) opts.explain = &part_explain;
-    Status status;
-    std::vector<DocId> part;
-    ExecStats part_stats;
+    obs::SpanScope probe_span(tb, "shard_probe", root);
+    probe_span.Annotate("shard", static_cast<uint64_t>(s));
+    const uint64_t entries_before = out.stats.match.link_entries_read;
+    StatusOr<std::vector<DocId>> part = std::vector<DocId>();
     if (options_.dynamic) {
-      auto r = dynamic_shards_[s]->ExecutePattern(pattern, opts, &part_stats);
-      if (r.ok()) {
-        part = std::move(*r);
-        // Dynamic probes report docs via the union; mirror the static
-        // shard accounting so merged totals mean the same thing.
-        part_stats.result_docs = part.size();
-      } else {
-        status = r.status();
+      // Each dynamic shard compiles against its own vocabulary; its probe
+      // gets its own explain, merged below.
+      ExecOptions popts = opts;
+      popts.trace = tb;
+      popts.trace_parent = probe_span.id();
+      QueryExplain part_explain;
+      if (opts.explain != nullptr) popts.explain = &part_explain;
+      ExecStats part_stats;
+      part = dynamic_shards_[s]->ExecutePattern(*pattern, popts, &part_stats);
+      if (part.ok() && first_error.ok()) {
+        out.stats.Add(part_stats);
+        if (opts.explain != nullptr) {
+          for (QueryExplain::SeqEntry& e : part_explain.seq) {
+            e.shard = static_cast<int32_t>(s);
+          }
+          opts.explain->Add(part_explain);
+        }
       }
     } else {
-      MatchContextLease lease(match_contexts_.get());
-      auto r = shards_[s]->Query(xpath, opts, lease.get());
-      if (r.ok()) {
-        part = std::move(r->docs);
-        part_stats = r->stats;
-      } else {
-        status = r.status();
-      }
+      part = run->MatchPart(s, lease->get(), probe_span.id());
     }
     const int64_t probe_us = timer.ElapsedMicros();
+    const size_t part_docs = part.ok() ? part->size() : 0;
+    const uint64_t entries_read =
+        out.stats.match.link_entries_read - entries_before;
     if (tb != nullptr) {
-      probe_span.Annotate("docs", part.size());
-      probe_span.Annotate("entries_read", part_stats.match.link_entries_read);
-      if (!status.ok()) probe_span.Annotate("error", 1);
+      probe_span.Annotate("docs", part_docs);
+      probe_span.Annotate("entries_read", entries_read);
+      if (!part.ok()) probe_span.Annotate("error", 1);
     }
     if (metrics) {
       const ShardMetricSet& m = ShardMetrics();
       m.probes->Increment();
-      if (!status.ok()) m.probe_errors->Increment();
+      if (!part.ok()) m.probe_errors->Increment();
       m.probe_us->Record(static_cast<uint64_t>(probe_us));
-      m.probe_docs->Record(part.size());
+      m.probe_docs->Record(part_docs);
     }
     probe_span.End();
-    if (first_error.ok()) first_error = status;
+    if (first_error.ok()) first_error = part.status();
     if (!first_error.ok()) continue;
-    out.stats.Add(part_stats);
-    out.docs.insert(out.docs.end(), part.begin(), part.end());
-    if (options.explain != nullptr) {
-      // Attribute this shard's plan rows before merging, and add one
-      // fan-out breakdown row so the explain shows where the work went.
-      for (QueryExplain::SeqEntry& e : part_explain.seq) {
-        if (e.shard < 0) e.shard = static_cast<int32_t>(s);
-      }
+    docs.insert(docs.end(), part->begin(), part->end());
+    if (opts.explain != nullptr) {
+      // One fan-out breakdown row per shard shows where the work went.
       QueryExplain::ShardBreakdown row;
       row.shard = static_cast<int32_t>(s);
-      row.docs = part.size();
-      row.entries_read = part_stats.match.link_entries_read;
+      row.docs = part_docs;
+      row.entries_read = entries_read;
       row.micros = probe_us;
-      part_explain.shards.push_back(row);
-      options.explain->Add(part_explain);
+      opts.explain->shards.push_back(row);
     }
   }
   XSEQ_RETURN_IF_ERROR(first_error);
-  // Shards partition the id space, so this is a disjoint union: sort for
-  // the public "sorted, deduplicated" contract; unique is a no-op guard.
-  std::sort(out.docs.begin(), out.docs.end());
-  out.docs.erase(std::unique(out.docs.begin(), out.docs.end()),
-                 out.docs.end());
+  if (run) {
+    out.docs = run->Finish(std::move(docs));
+  } else {
+    // Shards partition the id space, so this is a disjoint union: sort for
+    // the public "sorted, deduplicated" contract.
+    std::sort(docs.begin(), docs.end());
+    docs.erase(std::unique(docs.begin(), docs.end()), docs.end());
+    out.docs = std::move(docs);
+    out.stats.result_docs = out.docs.size();
+  }
   return out;
 }
 
@@ -361,10 +350,11 @@ CollectionIndex::SizeStats ShardedCollection::MergedStats() const {
     CollectionIndex::SizeStats s = shard->Stats();
     merged.documents += s.documents;
     merged.trie_nodes += s.trie_nodes;
-    merged.distinct_paths += s.distinct_paths;
     merged.sequence_elements += s.sequence_elements;
     merged.memory_bytes += s.memory_bytes;
   }
+  // Every shard reports the one dictionary they share.
+  merged.distinct_paths = shards_.front()->Stats().distinct_paths;
   merged.avg_sequence_length =
       merged.documents == 0
           ? 0.0
@@ -373,89 +363,41 @@ CollectionIndex::SizeStats ShardedCollection::MergedStats() const {
   return merged;
 }
 
-Status ShardedCollection::Save(const std::string& prefix,
-                               const PersistOptions& persist) const {
-  if (options_.dynamic) {
-    // Compact-and-save: each DynamicIndex flattens into one static segment
-    // and writes it through the single-index crash-safe path. The method
-    // stays const — the answer set is untouched — but the compaction is a
-    // physical mutation (and a generation bump); DynamicIndex is
-    // internally synchronized, so concurrent queries are fine.
-    for (size_t s = 0; s < dynamic_shards_.size(); ++s) {
-      XSEQ_RETURN_IF_ERROR(dynamic_shards_[s]->SaveCompacted(
-          ShardImagePath(prefix, s), persist));
-    }
-    return WriteShardedManifest(prefix, dynamic_shards_.size(),
-                                total_documents(), persist);
-  }
-  if (!sealed_) {
-    return Status::FailedPrecondition("Seal() before Save()");
-  }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    XSEQ_RETURN_IF_ERROR(
-        SaveCollectionIndex(*shards_[s], ShardImagePath(prefix, s), persist));
-  }
-  return WriteShardedManifest(prefix, shards_.size(), total_documents(),
-                              persist);
-}
-
-StatusOr<ShardedCollection> ShardedCollection::Load(
-    const std::string& prefix, int threads, const PersistOptions& persist) {
-  auto manifest = ReadShardedManifest(prefix, persist);
-  if (!manifest.ok()) return manifest.status();
-  const uint32_t shard_count = manifest->shard_count;
-
-  ShardedOptions options;
-  options.shards = static_cast<int>(shard_count);
-  options.threads = threads;
-  ShardedCollection out(options);
-  out.builders_.clear();
-  out.shards_.resize(shard_count);
-  std::vector<Status> statuses(shard_count);
-  std::unique_ptr<ThreadPool> owned;
-  PoolFor(threads, &owned)->ParallelFor(shard_count, [&](size_t s) {
-    auto loaded = LoadCollectionIndex(ShardImagePath(prefix, s), persist);
-    if (!loaded.ok()) {
-      statuses[s] = loaded.status();
-      return;
-    }
-    out.shards_[s] = std::make_unique<CollectionIndex>(std::move(*loaded));
-  });
-  for (const Status& st : statuses) XSEQ_RETURN_IF_ERROR(st);
-  out.sealed_ = true;
-  // The loaded shards carry the options they were built with.
-  out.options_.index = out.shards_[0]->options();
-  return out;
-}
-
 namespace {
 
-/// Deep-copies `doc` while re-interning every designator against the
-/// destination shard's vocabulary. Names and exact-mode values translate
-/// by string. Hashed value ids pass through unchanged (the hash is a pure
-/// function of the text, identical across shards), and so do
-/// char-sequence ids: the trie indexed the *expanded* document, so the
-/// reconstructed value nodes already carry character codes (plus the
-/// terminator), which are vocabulary-independent — and, carrying no
-/// retained text, they ride through the destination's ExpandValueChains
-/// untouched.
-Document TranslateDocument(const Document& doc, const CollectionIndex& src,
-                           NameTable* dst_names, ValueEncoder* dst_values) {
-  const bool pass_through = src.values().mode() != ValueMode::kExact;
-  Document out(doc.id());
+/// Deep-copies `doc`, parsed against `names`/`values`, into `out`'s
+/// vocabulary and adds it to its owning shard: the one path by which
+/// documents move into a new vocabulary (the dynamic Save and the
+/// reshard). Names translate by string. A value node carrying its text is
+/// encoded afresh from it; one without text (reconstructed from a trie)
+/// translates by string in exact mode and passes through otherwise: hashed
+/// ids are a pure function of the text, and char-sequence tries index the
+/// expanded document, so reconstructed value nodes already carry
+/// vocabulary-independent character codes (plus the terminator), which
+/// ride through the destination's ExpandValueChains untouched.
+Status AddTranslated(const Document& doc, const NameTable& names,
+                     const ValueEncoder& values, ShardedCollection* out) {
+  const size_t shard = out->ShardOf(doc.id());
+  NameTable* dst_names = out->names(shard);
+  ValueEncoder* dst_values = out->values(shard);
+  const bool exact = values.mode() == ValueMode::kExact;
+  Document copy(doc.id());
   auto translate = [&](const Node* n) -> Node* {
     if (n->is_value()) {
-      if (pass_through) return out.CreateValue(ValueId(n->sym.id()));
-      const std::string& text = src.values().Lookup(ValueId(n->sym.id()));
-      return out.CreateValue(dst_values->Encode(text), text);
+      if (n->text != nullptr) {
+        return copy.CreateValue(dst_values->Encode(n->text), n->text);
+      }
+      if (!exact) return copy.CreateValue(ValueId(n->sym.id()));
+      const std::string& text = values.Lookup(ValueId(n->sym.id()));
+      return copy.CreateValue(dst_values->Encode(text), text);
     }
-    NameId nid = dst_names->Intern(src.names().Lookup(NameId(n->sym.id())));
-    return n->kind == NodeKind::kAttribute ? out.CreateAttribute(nid)
-                                           : out.CreateElement(nid);
+    NameId nid = dst_names->Intern(names.Lookup(NameId(n->sym.id())));
+    return n->kind == NodeKind::kAttribute ? copy.CreateAttribute(nid)
+                                           : copy.CreateElement(nid);
   };
   const Node* src_root = doc.root();
   Node* new_root = translate(src_root);
-  out.SetRoot(new_root);
+  copy.SetRoot(new_root);
   std::vector<std::pair<const Node*, Node*>> stack = {{src_root, new_root}};
   while (!stack.empty()) {
     auto [src_node, dst_node] = stack.back();
@@ -465,14 +407,99 @@ Document TranslateDocument(const Document& doc, const CollectionIndex& src,
     for (const Node* c = src_node->first_child; c != nullptr;
          c = c->next_sibling) {
       Node* translated = translate(c);
-      out.AppendChild(dst_node, translated);
+      copy.AppendChild(dst_node, translated);
       stack.emplace_back(c, translated);
     }
   }
-  return out;
+  return out->Add(std::move(copy));
 }
 
 }  // namespace
+
+StatusOr<ShardedCollection> ShardedCollection::StaticSnapshot() const {
+  ShardedOptions opts = options_;
+  opts.dynamic = false;
+  ShardedCollection out(opts);
+  for (const auto& shard : dynamic_shards_) {
+    XSEQ_RETURN_IF_ERROR(
+        shard->ForEachLiveDocument([&](const Document& doc) {
+          return AddTranslated(doc, *shard->names(), *shard->values(), &out);
+        }));
+  }
+  XSEQ_RETURN_IF_ERROR(out.Seal());
+  return out;
+}
+
+Status ShardedCollection::Save(const std::string& prefix,
+                               const PersistOptions& persist) const {
+  if (options_.dynamic) {
+    auto snapshot = StaticSnapshot();
+    if (!snapshot.ok()) return snapshot.status();
+    return snapshot->Save(prefix, persist);
+  }
+  if (!sealed_) {
+    return Status::FailedPrecondition("Seal() before Save()");
+  }
+  uint64_t catalog_id = 0;
+  const std::string manifest = EncodeShardedManifest(
+      *shards_.front()->catalog(), static_cast<uint32_t>(shards_.size()),
+      total_documents(), &catalog_id);
+  // Parts first, the manifest last: its presence certifies that every part
+  // it names landed.
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    XSEQ_RETURN_IF_ERROR(WriteImageFile(
+        ShardImagePath(prefix, s), EncodeIndexPart(*shards_[s], catalog_id),
+        persist));
+  }
+  return WriteImageFile(prefix, manifest, persist);
+}
+
+StatusOr<ShardedCollection> ShardedCollection::Load(
+    const std::string& prefix, int threads, const PersistOptions& persist) {
+  std::string manifest_bytes;
+  XSEQ_RETURN_IF_ERROR(ReadImageFile(prefix, persist, &manifest_bytes));
+  auto manifest = DecodeShardedManifest(manifest_bytes, /*with_catalog=*/true);
+  if (!manifest.ok()) return manifest.status();
+  const uint32_t shard_count = manifest->shard_count;
+
+  ShardedOptions options;
+  options.shards = static_cast<int>(shard_count);
+  options.threads = threads;
+  options.index = manifest->catalog->options;
+  ShardedCollection out(options);
+  out.builder_.reset();
+  std::vector<std::unique_ptr<CollectionIndex>> shards(shard_count);
+  std::vector<Status> statuses(shard_count);
+  std::unique_ptr<ThreadPool> owned;
+  PoolFor(threads, &owned)->ParallelFor(shard_count, [&](size_t s) {
+    const std::string path = ShardImagePath(prefix, s);
+    std::string data;
+    Status read = ReadImageFile(path, persist, &data);
+    if (!read.ok()) {
+      statuses[s] = AnnotateStatus(read, "shard " + std::to_string(s));
+      return;
+    }
+    auto loaded = DecodeIndexPart(data, *manifest);
+    if (!loaded.ok()) {
+      statuses[s] = AnnotateStatus(
+          loaded.status(), "shard " + std::to_string(s) + " (" + path + ")");
+      return;
+    }
+    shards[s] = std::make_unique<CollectionIndex>(std::move(*loaded));
+  });
+  for (const Status& st : statuses) XSEQ_RETURN_IF_ERROR(st);
+  uint64_t documents = 0;
+  for (const auto& shard : shards) documents += shard->Stats().documents;
+  if (documents != manifest->total_documents) {
+    return Status::Corruption(
+        "manifest counts " + std::to_string(manifest->total_documents) +
+        " documents but its parts hold " + std::to_string(documents));
+  }
+  out.shards_ = std::move(shards);
+  out.BindParts();
+  out.sealed_ = true;
+  return out;
+}
 
 StatusOr<ShardedCollection> ReshardCollection(const ShardedCollection& source,
                                               int new_shards, int threads) {
@@ -516,10 +543,8 @@ StatusOr<ShardedCollection> ReshardCollection(const ShardedCollection& source,
       for (DocId d : docs) {
         auto tree = ReconstructTree(seq, shard->dict(), d);
         if (!tree.ok()) return tree.status();
-        size_t dest = out.ShardOf(d);
-        Document translated =
-            TranslateDocument(*tree, *shard, out.names(dest), out.values(dest));
-        XSEQ_RETURN_IF_ERROR(out.Add(std::move(translated)));
+        XSEQ_RETURN_IF_ERROR(
+            AddTranslated(*tree, shard->names(), shard->values(), &out));
       }
     }
   }

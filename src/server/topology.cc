@@ -4,7 +4,6 @@
 
 #include "src/core/persist.h"
 #include "src/obs/metrics.h"
-#include "src/util/env.h"
 
 namespace xseq {
 
@@ -41,24 +40,6 @@ void TopologyManager::Install(
   if (obs::MetricsEnabled()) {
     TopologyMetrics().epoch->Set(static_cast<int64_t>(epoch_));
   }
-}
-
-Status TopologyManager::VerifyImages(const std::string& prefix,
-                                     uint32_t shard_count) const {
-  Env* env = options_.persist.env != nullptr ? options_.persist.env
-                                             : Env::Default();
-  for (uint32_t s = 0; s < shard_count; ++s) {
-    const std::string path = ShardImagePath(prefix, s);
-    std::string data;
-    Status read = env->ReadFileToString(path, &data);
-    if (!read.ok()) return AnnotateStatus(read, "shard " + std::to_string(s));
-    IndexFileReport report = InspectEncodedIndex(data);
-    if (!report.status.ok()) {
-      return AnnotateStatus(report.status,
-                            "shard " + std::to_string(s) + " (" + path + ")");
-    }
-  }
-  return Status::OK();
 }
 
 Status TopologyManager::RunCanaries(const ShardedCollection& candidate) const {
@@ -98,7 +79,7 @@ StatusOr<uint64_t> TopologyManager::Reload(const std::string& prefix) {
   // into serving memory yet.
   auto manifest = ReadShardedManifest(prefix, options_.persist);
   if (!manifest.ok()) return fail(manifest.status());
-  Status verified = VerifyImages(prefix, manifest->shard_count);
+  Status verified = VerifyShardImages(prefix, *manifest, options_.persist);
   if (!verified.ok()) return fail(verified);
 
   // Step 2: load the candidate next to the live generation.

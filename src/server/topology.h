@@ -4,10 +4,11 @@
 // generation. Reload(prefix) brings up a successor without dropping a
 // request:
 //
-//  1. Validate the on-disk image offline: manifest magic/checksum/version,
-//     then every shard file's per-section checksums via the single-index
-//     inspector — a corrupt byte anywhere names the shard and aborts
-//     before any memory is committed.
+//  1. Validate the on-disk image offline: manifest magic/checksums/version,
+//     then every part file's per-section checksums, the manifest identity
+//     it records and the document count the parts sum to
+//     (VerifyShardImages) — a corrupt byte or a foreign part anywhere names
+//     the shard and aborts before any memory is committed.
 //  2. Load the candidate collection into memory, next to the live one.
 //  3. Canary it: a configurable query set runs against the *candidate*
 //     only. A canary that errors — or returns a doc count different from
@@ -99,8 +100,6 @@ class TopologyManager {
   const TopologyOptions& options() const { return options_; }
 
  private:
-  /// Offline validation of every shard image named by the manifest.
-  Status VerifyImages(const std::string& prefix, uint32_t shard_count) const;
   /// Runs the canary set against `candidate`.
   Status RunCanaries(const ShardedCollection& candidate) const;
 

@@ -431,7 +431,7 @@ TEST(DifferentialMatch, PersistedImageStaysByteStableAndLoads) {
   std::string image;
   idx->index().EncodeTo(&image);
   Decoder in(image);
-  auto back = FrozenIndex::DecodeFrom(&in);
+  auto back = FrozenIndex::DecodeFrom(&in, idx->dict().size());
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   ASSERT_TRUE(back->Validate().ok()) << back->Validate().ToString();
   std::string image2;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -25,6 +26,7 @@
 #include "src/server/server.h"
 #include "src/server/sharded_collection.h"
 #include "src/server/socket.h"
+#include "src/server/topology.h"
 #include "src/util/env.h"
 #include "tests/test_util.h"
 
@@ -195,6 +197,18 @@ TEST(ShardedPersistTest, SaveLoadRoundTrip) {
   }
 }
 
+/// Records every path read through it.
+class ReadRecordingEnv : public FaultInjectionEnv {
+ public:
+  explicit ReadRecordingEnv(Env* base) : FaultInjectionEnv(base) {}
+  StatusOr<std::unique_ptr<RandomAccessFile>> NewRandomAccessFile(
+      const std::string& path) override {
+    reads.push_back(path);
+    return FaultInjectionEnv::NewRandomAccessFile(path);
+  }
+  std::vector<std::string> reads;
+};
+
 TEST(ShardedPersistTest, CorruptManifestRejected) {
   const std::string prefix = ::testing::TempDir() + "/xseq_sharded_bad.col";
   ShardedCollection col = BuildSharded(Corpus(), 2, /*dynamic=*/false);
@@ -208,14 +222,53 @@ TEST(ShardedPersistTest, CorruptManifestRejected) {
               static_cast<std::streamsize>(contents.size()));
     ASSERT_TRUE(out.good());
   };
+  // Both loaders refuse the damaged manifest, and the hot swap refuses it
+  // before reading any part.
+  auto expect_refused = [&](const std::string& what) {
+    EXPECT_FALSE(ShardedCollection::Load(prefix).ok()) << what;
+    ReadRecordingEnv env(Env::Default());
+    TopologyOptions topts;
+    topts.persist.env = &env;
+    TopologyManager topo(topts);
+    EXPECT_FALSE(topo.Reload(prefix).ok()) << what;
+    EXPECT_EQ(topo.Current(), nullptr) << what;
+    for (const std::string& read : env.reads) {
+      EXPECT_EQ(read.find(".shard"), std::string::npos)
+          << what << ": read " << read;
+    }
+  };
   for (size_t flip : {size_t(0), manifest.size() / 2, manifest.size() - 1}) {
     std::string bad = manifest;
     bad[flip] ^= 0x40;
     rewrite(bad);
-    EXPECT_FALSE(ShardedCollection::Load(prefix).ok()) << "flip@" << flip;
+    expect_refused("flip@" + std::to_string(flip));
+  }
+  // Every section boundary (frame start and payload end) and the footer,
+  // truncated; bytes flipped at a fixed stride through every shared
+  // section's payload.
+  const IndexFileReport report = InspectEncodedIndex(manifest);
+  ASSERT_TRUE(report.status.ok()) << report.status.ToString();
+  ASSERT_EQ(report.kind, "manifest");
+  ASSERT_EQ(report.sections.size(), 5u);
+  std::vector<size_t> cuts = {manifest.size() - 8};
+  for (const IndexSectionInfo& section : report.sections) {
+    cuts.push_back(section.offset - 16);
+    cuts.push_back(section.offset + section.length);
+    const size_t stride = std::max<size_t>(1, section.length / 16);
+    for (size_t off = 0; off < section.length; off += stride) {
+      std::string bad = manifest;
+      bad[section.offset + off] ^= 0x04;
+      rewrite(bad);
+      expect_refused(section.name + " flip@" + std::to_string(off));
+    }
+  }
+  for (size_t cut : cuts) {
+    rewrite(manifest.substr(0, cut));
+    expect_refused("truncated@" + std::to_string(cut));
   }
   // Restore the manifest but remove one shard file: still rejected.
   rewrite(manifest);
+  ASSERT_TRUE(ShardedCollection::Load(prefix).ok());
   ASSERT_TRUE(Env::Default()->RemoveFile(prefix + ".shard1").ok());
   EXPECT_FALSE(ShardedCollection::Load(prefix).ok());
 }

@@ -1,5 +1,5 @@
-// Tests for the live-topology layer: dynamic sharded persistence (compact
-// and save, fault sweep over the multi-file save), the TopologyManager
+// Tests for the live-topology layer: dynamic sharded persistence (save
+// through a static snapshot, fault sweep over the multi-file save), the TopologyManager
 // hot-swap pipeline (validation, canaries, rollback, RCU swap under
 // concurrent query load), the offline reshard (differential against the
 // source and against a fresh build), the reload wire op end to end, and
@@ -99,7 +99,8 @@ std::string TempPrefix(const std::string& name) {
 }
 
 // ---------------------------------------------------------------------------
-// Dynamic sharded persistence: compact-and-save.
+// Dynamic sharded persistence: the live documents saved as a static
+// collection.
 
 TEST(DynamicShardedSaveTest, SaveLoadRoundTripMatchesSource) {
   ShardedCollection dynamic = BuildSharded(CorpusA(), 3, /*dynamic=*/true);
