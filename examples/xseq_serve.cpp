@@ -17,9 +17,6 @@
 //   --queue=N          queries that may wait for a free slot; past that
 //                      => kOverloaded (default 64)
 //   --deadline_ms=N    default per-request deadline; 0 = none
-//   --threads=N        set-up parallelism: shard builds, loads and hot-swap
-//                      reloads (0 = default pool, 1 = serial); a query
-//                      always runs on its connection's thread
 //   --result_cache=0|1 generation-keyed result cache; hits are served on
 //                      the connection thread without waiting (default 1)
 //   --canary=XPATH     (repeatable) validation query a candidate image must
@@ -101,7 +98,7 @@ int Usage() {
       " [--save=PREFIX])\n"
       "                  [--host=ADDR] [--port=N] [--port_file=PATH]\n"
       "                  [--workers=N] [--queue=N] [--deadline_ms=N]"
-      " [--threads=N] [--result_cache=0|1] [--canary=XPATH ...]\n"
+      " [--result_cache=0|1] [--canary=XPATH ...]\n"
       "                  [--prom_port=N [--prom_port_file=PATH]]"
       " [--access_log=PATH [--log_slow_ms=N] [--log_sample=N]"
       " [--log_rotate_mb=N]]\n");
@@ -160,7 +157,6 @@ StatusOr<ShardedCollection> BuildGenerated(const FlagSet& flags,
   ShardedOptions opts;
   opts.shards = static_cast<int>(flags.GetInt("shards", 1));
   opts.dynamic = flags.GetBool("dynamic", false);
-  opts.threads = static_cast<int>(flags.GetInt("threads", 0));
   if (opts.shards < 1) return Status::InvalidArgument("--shards must be >= 1");
   const DocId n = static_cast<DocId>(flags.GetInt("n", 20000));
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
@@ -223,7 +219,6 @@ int Run(int argc, char** argv) {
   // Canary queries guard every hot-swap: a candidate image must answer
   // each without error before it goes live.
   TopologyOptions topo_options;
-  topo_options.threads = static_cast<int>(flags.GetInt("threads", 0));
   for (int i = 1; i < argc; ++i) {
     std::string_view arg(argv[i]);
     constexpr std::string_view kCanaryPrefix = "--canary=";

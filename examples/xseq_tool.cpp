@@ -56,13 +56,13 @@ int Usage() {
       "  xseq_tool verify FILE   # per-section integrity report of an index"
       " file,\n"
       "              # a sharded manifest or a part; exit 1 on any failure\n"
-      "  xseq_tool reshard --in=PREFIX --out=PREFIX --shards=M"
-      " [--threads=N]\n"
-      "              # N->M reshard: recovers every document from the tries"
-      " (Theorem 1),\n"
-      "              # re-routes by hash, rebuilds and saves\n"
+      "  xseq_tool reshard --in=PREFIX --out=PREFIX --shards=M\n"
+      "              # N->M reshard: moves every document's sequence and"
+      " value postings\n"
+      "              # to its new shard by hash, under the same catalog,"
+      " and saves\n"
       "\n"
-      "  --threads=N  worker threads for query batches and reshards"
+      "  --threads=N  worker threads for stats query batches"
       "\n"
       "               (0 = hardware concurrency / XSEQ_THREADS, 1 = serial);"
       " a build\n"
@@ -522,16 +522,15 @@ int Reshard(const FlagSet& flags) {
   const std::string in = flags.GetString("in", "");
   const std::string out = flags.GetString("out", "");
   const int shards = static_cast<int>(flags.GetInt("shards", 0));
-  const int threads = static_cast<int>(flags.GetInt("threads", 0));
   if (in.empty() || out.empty() || shards < 1) return Usage();
 
   Timer timer;
-  auto source = ShardedCollection::Load(in, threads);
+  auto source = ShardedCollection::Load(in);
   if (!source.ok()) {
     std::fprintf(stderr, "load: %s\n", source.status().ToString().c_str());
     return 1;
   }
-  auto resharded = ReshardCollection(*source, shards, threads);
+  auto resharded = ReshardCollection(*source, shards);
   if (!resharded.ok()) {
     std::fprintf(stderr, "reshard: %s\n",
                  resharded.status().ToString().c_str());

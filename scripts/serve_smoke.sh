@@ -9,7 +9,9 @@
 # daemon refuses to start over the live port file and that a reload of a
 # bogus image leaves the old generation serving, then SIGTERM it and
 # assert the graceful-drain message appeared, the access log captured the
-# traffic, and the exit status is 0. This is the end-to-end path CI
+# traffic, and the exit status is 0. A second, dynamic daemon takes wire
+# mutations, and its stats must count each query once in xseq.query.count
+# as in xseq.shard.queries. This is the end-to-end path CI
 # exercises outside of ctest: real processes, real TCP, real HTTP, real
 # signals, real on-disk images.
 #
@@ -365,6 +367,25 @@ late_answer_is 1 "$TARGET" \
          "$TARGET after compaction" >&2; exit 1; }
 echo "serve_smoke.sh: compaction preserved every answer"
 
+# Each backend query records one xseq.query sample, and the shard layer
+# counts it once: the two counts an operator reads must agree. Only this
+# daemon is checked: the first one received a malformed query, which
+# counts in xseq.shard.queries but records no sample (none is recorded
+# before a successful parse).
+MUT_STATS="$("$CLIENT" stats --port="$MUT_PORT")"
+counter() {
+  echo "$MUT_STATS" | grep -o "\"$1\":[0-9]*" | head -n1 | cut -d: -f2
+}
+QUERY_COUNT="$(counter xseq.query.count)"
+SHARD_QUERIES="$(counter xseq.shard.queries)"
+[[ -n "$QUERY_COUNT" && "$QUERY_COUNT" -gt 0 \
+   && "$QUERY_COUNT" == "$SHARD_QUERIES" ]] || {
+  echo "serve_smoke.sh: dynamic daemon reads xseq.query.count" \
+    "'$QUERY_COUNT' but xseq.shard.queries '$SHARD_QUERIES'" >&2
+  exit 1
+}
+echo "serve_smoke.sh: dynamic daemon counted $QUERY_COUNT queries once each"
+
 kill -TERM "$MUT_PID"
 RC=0
 wait "$MUT_PID" || RC=$?
@@ -378,4 +399,5 @@ fi
 echo "serve_smoke.sh: ok (ping/query/--explain/--trace_out/stats +" \
   "metrics op + prometheus scrape + access log + double-start refusal +" \
   "hot swap under load + failed-reload rollback + SIGHUP + SIGTERM drain +" \
-  "wire delete/update/compact against the dynamic backend)"
+  "wire delete/update/compact against the dynamic backend + one query" \
+  "sample per query)"

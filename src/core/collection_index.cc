@@ -163,9 +163,8 @@ Status CollectionBuilder::SequenceInto(const Document& doc,
           "streaming passes must supply identical documents");
     }
   }
-  Sequence seq = catalog_->sequencer->Encode(*src, paths);
-  part->total_seq_elements += seq.size();
-  part->buffered.emplace_back(std::move(seq), src->id());
+  part->buffered.emplace_back(catalog_->sequencer->Encode(*src, paths),
+                              src->id());
   return Status::OK();
 }
 
@@ -176,31 +175,41 @@ Status CollectionBuilder::Index(const Document& doc) {
   return SequenceInto(doc, &parts_[0]);
 }
 
+StatusOr<CollectionIndex> CollectionIndex::FromSequences(
+    std::shared_ptr<const CollectionCatalog> catalog, uint64_t documents,
+    std::vector<std::pair<Sequence, DocId>> sequenced,
+    ValueIndexBuilder postings) {
+  CollectionIndex out;
+  for (const auto& entry : sequenced) {
+    out.total_seq_elements_ += entry.first.size();
+  }
+  TrieBuilder trie;
+  if (catalog->options.bulk_load) {
+    XSEQ_RETURN_IF_ERROR(trie.BulkLoad(&sequenced));
+  } else {
+    for (const auto& [seq, doc] : sequenced) {
+      XSEQ_RETURN_IF_ERROR(trie.Insert(seq, doc));
+    }
+  }
+  out.catalog_ = std::move(catalog);
+  out.index_ = std::move(trie).Freeze();
+  out.vindex_ = std::move(postings).Build();
+  out.documents_count_ = documents;
+  return out;
+}
+
 StatusOr<CollectionIndex> CollectionBuilder::BuildPart(Part* part) const {
   Timer finish_timer;
   part->buffered.reserve(part->buffered.size() + part->retained.size());
   for (const Document& doc : part->retained) {
     XSEQ_RETURN_IF_ERROR(SequenceInto(doc, part));
   }
-
-  TrieBuilder trie;
-  if (catalog_->options.bulk_load) {
-    XSEQ_RETURN_IF_ERROR(trie.BulkLoad(&part->buffered));
-  } else {
-    for (const auto& [seq, doc] : part->buffered) {
-      XSEQ_RETURN_IF_ERROR(trie.Insert(seq, doc));
-    }
-    part->buffered.clear();
-  }
-
-  CollectionIndex out;
-  out.catalog_ = catalog_;
-  out.index_ = std::move(trie).Freeze();
-  out.vindex_ = std::move(part->vindex).Build();
-  out.documents_count_ = part->observed_docs;
-  out.total_seq_elements_ = part->total_seq_elements;
+  auto out = CollectionIndex::FromSequences(catalog_, part->observed_docs,
+                                            std::move(part->buffered),
+                                            std::move(part->vindex));
+  if (!out.ok()) return out.status();
   if (catalog_->options.keep_documents) {
-    out.documents_ = std::move(part->retained);
+    out->documents_ = std::move(part->retained);
   }
   if (obs::MetricsEnabled()) {
     struct Set {
@@ -217,8 +226,8 @@ StatusOr<CollectionIndex> CollectionBuilder::BuildPart(Part* part) const {
                  r->GetHistogram("xseq.build.finish_us")};
     }();
     s.finishes->Increment();
-    s.documents->Add(out.documents_count_);
-    s.seq_elements->Add(out.total_seq_elements_);
+    s.documents->Add(out->documents_count_);
+    s.seq_elements->Add(out->total_seq_elements_);
     s.finish_us->Record(static_cast<uint64_t>(finish_timer.ElapsedMicros()));
   }
   return out;

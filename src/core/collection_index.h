@@ -154,7 +154,6 @@ class CollectionBuilder {
     std::vector<std::pair<Sequence, DocId>> buffered;
     ValueIndexBuilder vindex;  ///< range-predicate postings, fed by Observe
     uint64_t observed_docs = 0;
-    uint64_t total_seq_elements = 0;
   };
 
   /// Observes `doc` into the catalog and `part`'s value postings.
@@ -175,6 +174,16 @@ class CollectionBuilder {
 /// sequenced with.
 class CollectionIndex {
  public:
+  /// Builds one part of `catalog`'s collection on the calling thread from
+  /// `documents` documents already sequenced with its model: `sequenced`
+  /// holds their constraint sequences and `postings` their value postings.
+  /// Every build ends here once its documents are sequenced; a reshard
+  /// moves documents between parts this way without sequencing them again.
+  static StatusOr<CollectionIndex> FromSequences(
+      std::shared_ptr<const CollectionCatalog> catalog, uint64_t documents,
+      std::vector<std::pair<Sequence, DocId>> sequenced,
+      ValueIndexBuilder postings);
+
   /// Runs an XPath query (see query_pattern.h for the supported subset).
   /// `ctx`, when given, supplies reusable match scratch (see MatchContext);
   /// otherwise one is leased from the index's pool.

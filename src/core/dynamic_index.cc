@@ -358,34 +358,23 @@ Status DynamicIndex::ScanBufferLocked(const xseq::QueryPattern& pattern,
 StatusOr<std::vector<DocId>> DynamicIndex::ExecutePattern(
     const xseq::QueryPattern& pattern, const ExecOptions& options,
     ExecStats* stats) const {
-  // Tracing: a dynamic query owns the trace so the per-segment probes (and
-  // the buffer scan) appear as siblings under one root. The options
-  // copy handed to segment executors carries the builder, never the tracer,
-  // so the nested executors attach instead of committing traces of their
-  // own.
-  obs::TraceBuilder owned_trace;
-  ExecOptions opts = options;
-  obs::Tracer* commit_to = nullptr;
-  if (opts.trace == nullptr && opts.tracer != nullptr) {
-    opts.trace_parent = owned_trace.StartTrace("dynamic_query");
-    opts.trace = &owned_trace;
-    commit_to = opts.tracer;
-    opts.tracer = nullptr;
-  }
-  const uint32_t root_span = opts.trace_parent;
-  struct CommitOnExit {
-    obs::TraceBuilder* builder;
-    obs::Tracer* tracer;
-    ~CommitOnExit() {
-      if (tracer != nullptr) builder->Commit(tracer);
-    }
-  } commit{&owned_trace, commit_to};
+  QueryRun run(options, "dynamic_query");
+  XSEQ_RETURN_IF_ERROR(run.Start());
+  auto docs = Probe(pattern, run.options(), run.stats(), run.root_span());
+  if (!docs.ok()) return docs.status();
+  std::vector<DocId> out = run.Finish(std::move(*docs));
+  if (stats != nullptr) stats->Add(*run.stats());
+  return out;
+}
 
+StatusOr<std::vector<DocId>> DynamicIndex::Probe(
+    const xseq::QueryPattern& pattern, const ExecOptions& options,
+    ExecStats* stats, uint32_t trace_parent) const {
   std::vector<DocId> out;
   std::vector<std::shared_ptr<const CollectionIndex>> segments;
   std::vector<std::shared_ptr<const std::unordered_set<DocId>>> seg_dead;
   {
-    obs::SpanScope scan_span(opts.trace, "scan_unsealed", root_span);
+    obs::SpanScope scan_span(options.trace, "scan_unsealed", trace_parent);
     uint64_t trees = 0;
     // The buffer mutates under Add(), so it is scanned while the lock is
     // held. The segments and tombstone sets snapshotted with it are
@@ -398,33 +387,27 @@ StatusOr<std::vector<DocId>> DynamicIndex::ExecutePattern(
     seg_dead.reserve(slot_state_.size());
     for (const SlotState& slot : slot_state_) seg_dead.push_back(slot.dead);
     buffer_.Sync(values_->mode());
-    XSEQ_RETURN_IF_ERROR(ScanBufferLocked(pattern, opts, &out, &trees));
+    XSEQ_RETURN_IF_ERROR(ScanBufferLocked(pattern, options, &out, &trees));
     scan_span.Annotate("scanned_docs", buffer_.docs.size());
     scan_span.Annotate("trees", trees);
     scan_span.Annotate("docs", out.size());
   }
 
-  // One leased context serves every segment probe of this query.
+  // One leased context serves every segment of this probe.
   MatchContextLease lease(&match_contexts_);
   for (size_t i = 0; i < segments.size(); ++i) {
-    ExecStats part_stats;
-    obs::SpanScope seg_span(opts.trace, "segment_probe", root_span);
-    ExecOptions seg_opts = opts;
-    seg_opts.trace_parent = seg_span.id();
-    auto part = segments[i]->executor().ExecutePattern(pattern, &part_stats,
-                                                       seg_opts, lease.get());
+    obs::SpanScope seg_span(options.trace, "segment_probe", trace_parent);
+    const QueryExecutor executor = segments[i]->executor();
+    CatalogRun segment(executor, pattern, stats, options, seg_span.id());
+    XSEQ_RETURN_IF_ERROR(segment.Start());
+    auto part = segment.MatchPart(0, lease.get());
     if (!part.ok()) return part.status();
     RemoveDeadIds(seg_dead[i].get(), &*part);
     seg_span.Annotate("docs", part->size());
-    if (stats != nullptr) stats->Add(part_stats);
     out.insert(out.end(), part->begin(), part->end());
   }
-
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  if (opts.trace != nullptr) {
-    opts.trace->Annotate(root_span, "segments", segments.size());
-    opts.trace->Annotate(root_span, "result_docs", out.size());
+  if (options.trace != nullptr) {
+    options.trace->Annotate(trace_parent, "segments", segments.size());
   }
   return out;
 }

@@ -109,12 +109,22 @@ class DynamicIndex {
   StatusOr<std::vector<DocId>> Query(std::string_view xpath,
                                      const ExecOptions& options = {}) const;
 
-  /// Runs an already-parsed pattern. Sealed segments are probed one after
-  /// another on the calling thread; `stats`, when given, aggregates
-  /// per-segment ExecStats via ExecStats::Add.
+  /// Runs an already-parsed pattern as one query (QueryRun) over one
+  /// Probe(); a trace it owns is rooted at `dynamic_query`. The query's
+  /// counters add to `stats`.
   StatusOr<std::vector<DocId>> ExecutePattern(
       const xseq::QueryPattern& pattern, const ExecOptions& options = {},
       ExecStats* stats = nullptr) const;
+
+  /// This index's share of a query the caller runs: a scan of the buffer,
+  /// then every sealed segment in turn, each compiled against its own
+  /// catalog (CatalogRun). Counters add to `stats`, explain rows go to
+  /// `options.explain`, and spans hang under `trace_parent` in
+  /// `options.trace`. Returns the live ids, unsorted.
+  StatusOr<std::vector<DocId>> Probe(const xseq::QueryPattern& pattern,
+                                     const ExecOptions& options,
+                                     ExecStats* stats,
+                                     uint32_t trace_parent) const;
 
   /// Monotone mutation counter for result-cache invalidation: starts at 1
   /// and is bumped under the index lock by every mutation

@@ -75,12 +75,12 @@ const QueryMetricSet& QueryMetrics() {
 }  // namespace
 
 StatusOr<CompiledQuery> QueryExecutor::CompileInternal(
-    const QueryPattern& pattern, const ExecOptions& options) const {
+    const QueryPattern& pattern, const ExecOptions& options,
+    uint32_t trace_parent) const {
   CompiledQuery out;
   const QueryPlanner planner = Planner();
 
-  obs::SpanScope compile_span(options.trace, "compile",
-                              options.trace_parent);
+  obs::SpanScope compile_span(options.trace, "compile", trace_parent);
   InstantiateOptions inst_opts = options.instantiate;
   if (options.plan.selectivity) {
     // Compose the planner's exact zero-cardinality predicate with any
@@ -149,7 +149,7 @@ StatusOr<std::vector<QuerySeq>> QueryExecutor::Compile(
   ExecStats local;
   ExecStats* st = stats != nullptr ? stats : &local;
   Timer timer;
-  auto cq = CompileInternal(pattern, options);
+  auto cq = CompileInternal(pattern, options, options.trace_parent);
   if (!cq.ok()) return cq.status();
   st->instantiations += cq->instantiations;
   st->orderings += cq->orderings;
@@ -163,12 +163,14 @@ StatusOr<std::vector<QuerySeq>> QueryExecutor::Compile(
 StatusOr<std::vector<DocId>> QueryExecutor::ExecutePattern(
     const QueryPattern& pattern, ExecStats* stats,
     const ExecOptions& options, MatchContext* ctx) const {
-  ExecStats local;
-  QueryRun run(*this, pattern, stats != nullptr ? stats : &local, options);
+  QueryRun run(options);
   XSEQ_RETURN_IF_ERROR(run.Start());
+  CatalogRun catalog(*this, pattern, run.stats(), run.options(),
+                     run.root_span());
+  XSEQ_RETURN_IF_ERROR(catalog.Start());
   std::vector<DocId> out;
   for (size_t p = 0; p < part_count(); ++p) {
-    auto docs = run.MatchPart(p, ctx);
+    auto docs = catalog.MatchPart(p, ctx);
     if (!docs.ok()) return docs.status();
     if (out.empty()) {
       out = std::move(*docs);
@@ -176,47 +178,68 @@ StatusOr<std::vector<DocId>> QueryExecutor::ExecutePattern(
       out.insert(out.end(), docs->begin(), docs->end());
     }
   }
-  return run.Finish(std::move(out));
+  out = run.Finish(std::move(out));
+  if (stats != nullptr) stats->Add(*run.stats());
+  return out;
 }
 
-QueryRun::Report::~Report() {
-  if (owned_trace != nullptr && commit_to != nullptr) {
-    owned_trace->Commit(commit_to);
-  }
+QueryRun::QueryRun(const ExecOptions& options, const char* root)
+    : options_(options), root_(root) {}
+
+QueryRun::~QueryRun() {
+  if (commit_to_ != nullptr) owned_trace_.Commit(commit_to_);
   if (!obs::MetricsEnabled()) return;
   const QueryMetricSet& m = QueryMetrics();
   m.queries->Increment();
-  if (!ok) m.errors->Increment();
-  if (truncated) m.truncated->Increment();
-  if (pruned > 0) m.pruned->Add(pruned);
-  m.latency_us->Record(static_cast<uint64_t>(timer.ElapsedMicros()));
-  m.compile_us->Record(compile_us);
-  m.match_us->Record(match_us);
-  m.result_docs->Record(result_docs);
+  if (!ok_) m.errors->Increment();
+  if (stats_.truncated) m.truncated->Increment();
+  if (stats_.pruned_instantiations > 0) {
+    m.pruned->Add(stats_.pruned_instantiations);
+  }
+  m.latency_us->Record(static_cast<uint64_t>(timer_.ElapsedMicros()));
+  m.compile_us->Record(static_cast<uint64_t>(stats_.compile_micros));
+  m.match_us->Record(static_cast<uint64_t>(stats_.match_micros));
+  m.result_docs->Record(stats_.result_docs);
 }
 
-QueryRun::QueryRun(const QueryExecutor& executor, const QueryPattern& pattern,
-                   ExecStats* stats, const ExecOptions& options)
+Status QueryRun::Start() {
+  // Tracing: attach to the caller's builder, or open a fresh trace bound
+  // for options.tracer's ring buffer.
+  if (options_.trace == nullptr && options_.tracer != nullptr) {
+    options_.trace_parent = owned_trace_.StartTrace(root_);
+    options_.trace = &owned_trace_;
+    commit_to_ = options_.tracer;
+  }
+  options_.tracer = nullptr;
+  if (options_.DeadlineExpired()) return DeadlineError();
+  return Status::OK();
+}
+
+std::vector<DocId> QueryRun::Finish(std::vector<DocId> docs) {
+  std::sort(docs.begin(), docs.end());
+  docs.erase(std::unique(docs.begin(), docs.end()), docs.end());
+  stats_.result_docs = docs.size();
+  ok_ = true;
+  if (options_.trace != nullptr) {
+    options_.trace->Annotate(options_.trace_parent, "sequences",
+                             stats_.matched_sequences);
+    options_.trace->Annotate(options_.trace_parent, "result_docs",
+                             docs.size());
+  }
+  if (options_.explain != nullptr) options_.explain->result_docs += docs.size();
+  return docs;
+}
+
+CatalogRun::CatalogRun(const QueryExecutor& executor,
+                       const QueryPattern& pattern, ExecStats* stats,
+                       const ExecOptions& options, uint32_t trace_parent)
     : executor_(executor),
       pattern_(&pattern),
       stats_(stats),
-      options_(options) {}
+      options_(options),
+      trace_parent_(trace_parent) {}
 
-QueryRun::~QueryRun() = default;
-
-Status QueryRun::Start() {
-  // Tracing: attach to the caller's builder (nested execution, e.g. a
-  // DynamicIndex segment probe) or open a fresh trace bound for
-  // options.tracer's ring buffer.
-  if (options_.trace == nullptr && options_.tracer != nullptr) {
-    options_.trace_parent = owned_trace_.StartTrace("query");
-    options_.trace = &owned_trace_;
-    report_.owned_trace = &owned_trace_;
-    report_.commit_to = options_.tracer;
-    options_.tracer = nullptr;
-  }
-  if (options_.DeadlineExpired()) return DeadlineError();
-
+Status CatalogRun::Start() {
   // Comparison predicates ([price < 30]) are a document-level filter over
   // the structural match: each part probes its value index for each
   // comparison's candidate docs, runs the comparison-free skeleton through
@@ -235,7 +258,7 @@ Status QueryRun::Start() {
   return EnsurePlan();
 }
 
-Status QueryRun::EnsurePlan() {
+Status CatalogRun::EnsurePlan() {
   if (plan_ != nullptr) return Status::OK();
   // Compiled-plan resolution: cache hit -> replay; miss -> full compile,
   // then publish. Either way plan_ holds an immutable CompiledQuery for
@@ -256,14 +279,13 @@ Status QueryRun::EnsurePlan() {
     if (plan_ != nullptr) {
       stats_->plan_cache_hits += 1;
       plan_cache_hit = true;
-      obs::SpanScope compile_span(options_.trace, "compile",
-                                  options_.trace_parent);
+      obs::SpanScope compile_span(options_.trace, "compile", trace_parent_);
       compile_span.Annotate("plan_cache_hit", 1);
       compile_span.Annotate("sequences", plan_->sequences.size());
     }
   }
   if (plan_ == nullptr) {
-    auto cq = executor_.CompileInternal(*pattern_, options_);
+    auto cq = executor_.CompileInternal(*pattern_, options_, trace_parent_);
     if (!cq.ok()) return cq.status();
     auto compiled = std::make_shared<const CompiledQuery>(std::move(*cq));
     if (cache != nullptr) cache->Insert(cache_id, cache_key, compiled);
@@ -278,9 +300,6 @@ Status QueryRun::EnsurePlan() {
   stats_->pruned_instantiations += plan_->pruned;
   stats_->truncated = stats_->truncated || plan_->truncated;
   stats_->compile_micros += compile_us;
-  report_.compile_us += static_cast<uint64_t>(compile_us);
-  report_.pruned += plan_->pruned;
-  report_.truncated = report_.truncated || plan_->truncated;
   if (options_.explain != nullptr) {
     QueryExplain& ex = *options_.explain;
     ex.instantiations += plan_->instantiations;
@@ -297,9 +316,10 @@ Status QueryRun::EnsurePlan() {
   return Status::OK();
 }
 
-StatusOr<std::vector<DocId>> QueryRun::MatchPart(size_t p, MatchContext* ctx,
-                                                 uint32_t trace_parent) {
-  if (trace_parent == obs::kNoSpan) trace_parent = options_.trace_parent;
+StatusOr<std::vector<DocId>> CatalogRun::MatchPart(size_t p,
+                                                   MatchContext* ctx,
+                                                   uint32_t trace_parent) {
+  if (trace_parent == obs::kNoSpan) trace_parent = trace_parent_;
   if (comparisons_.empty()) return MatchPlan(p, ctx, trace_parent);
 
   const IndexPart& part = executor_.part(p);
@@ -337,8 +357,9 @@ StatusOr<std::vector<DocId>> QueryRun::MatchPart(size_t p, MatchContext* ctx,
   return out;
 }
 
-StatusOr<std::vector<DocId>> QueryRun::MatchPlan(size_t p, MatchContext* ctx,
-                                                 uint32_t trace_parent) {
+StatusOr<std::vector<DocId>> CatalogRun::MatchPlan(size_t p,
+                                                   MatchContext* ctx,
+                                                   uint32_t trace_parent) {
   const FrozenIndex& index = *executor_.part(p).index;
   const QueryPlanner part_planner(&index, executor_.catalog_.schema);
   // A one-part plan was filtered and ordered for its part at compile time;
@@ -359,8 +380,6 @@ StatusOr<std::vector<DocId>> QueryRun::MatchPlan(size_t p, MatchContext* ctx,
   if (options_.explain != nullptr) {
     QueryExplain& ex = *options_.explain;
     ex.sequences += n;
-    const int32_t shard =
-        executor_.part_count() > 1 ? static_cast<int32_t>(p) : -1;
     for (size_t i = 0; i < n; ++i) {
       const QuerySeq& qs = seq_at(i);
       QueryPlanner::SeqSelectivity sel = part_planner.Selectivity(qs);
@@ -368,7 +387,6 @@ StatusOr<std::vector<DocId>> QueryRun::MatchPlan(size_t p, MatchContext* ctx,
       entry.positions = static_cast<uint32_t>(qs.size());
       entry.anchor_cardinality = sel.min_cardinality;
       entry.anchor = static_cast<uint32_t>(sel.anchor);
-      entry.shard = shard;
       ex.seq.push_back(entry);
     }
   }
@@ -411,29 +429,12 @@ StatusOr<std::vector<DocId>> QueryRun::MatchPlan(size_t p, MatchContext* ctx,
   match_span.End();
   const int64_t match_us = timer.ElapsedMicros();
   stats_->match_micros += match_us;
-  report_.match_us += static_cast<uint64_t>(match_us);
   if (options_.explain != nullptr) {
     options_.explain->match_micros += match_us;
     options_.explain->actual_cost +=
         stats_->match.link_entries_read - entries_before;
   }
   return out;
-}
-
-std::vector<DocId> QueryRun::Finish(std::vector<DocId> docs) {
-  std::sort(docs.begin(), docs.end());
-  docs.erase(std::unique(docs.begin(), docs.end()), docs.end());
-  stats_->result_docs = docs.size();
-  report_.ok = true;
-  report_.result_docs = docs.size();
-  if (options_.trace != nullptr) {
-    options_.trace->Annotate(options_.trace_parent, "sequences",
-                             plan_ != nullptr ? plan_->sequences.size() : 0);
-    options_.trace->Annotate(options_.trace_parent, "result_docs",
-                             docs.size());
-  }
-  if (options_.explain != nullptr) options_.explain->result_docs += docs.size();
-  return docs;
 }
 
 StatusOr<std::vector<DocId>> QueryExecutor::Execute(

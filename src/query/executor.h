@@ -11,11 +11,17 @@
 //
 // An executor runs over the parts of one collection: every part is a trie
 // and a value index keyed by the one path dictionary, vocabulary,
-// sequencer and schema they share. A query compiles once against those
-// (QueryRun), then each part drops the sequences with an empty link in it,
-// orders the rest by its own link sizes, and matches. A CollectionIndex or
-// a DynamicIndex segment is a one-part executor; the shards of a static
-// ShardedCollection are the parts of one.
+// sequencer and schema they share. A CollectionIndex or a DynamicIndex
+// segment is a one-part executor; the shards of a static ShardedCollection
+// are the parts of one.
+//
+// A query's work splits in two. Once per query (QueryRun), at every public
+// entry point on every backend: own the trace, check the deadline, sort and
+// deduplicate the answer, and record one xseq.query.* sample. Once per
+// catalog (CatalogRun: a static collection, or one DynamicIndex segment):
+// compile through the plan cache, then drop, per part, the sequences with
+// an empty link in it, order the rest by the part's own link sizes, and
+// match.
 //
 // A query runs start to finish on its calling thread: its parts and
 // sequences are matched one after another. Parallelism lives above the
@@ -63,29 +69,25 @@ struct ExecOptions {
   /// calls stay uncached unless they opt in.
   PlanOptions plan;
   /// Tracing knob: when non-null, every query run with these options
-  /// records a span tree (query -> compile -> instantiate -> per-sequence
-  /// match; DynamicIndex adds per-segment probe spans) into the tracer's
-  /// ring buffer. Null (the default) costs one pointer compare per stage.
+  /// records one span tree (query -> compile -> instantiate -> per-sequence
+  /// match; shard and segment probes in between) into the tracer's ring
+  /// buffer. Null (the default) costs one pointer compare per stage.
   obs::Tracer* tracer = nullptr;
-  /// Internal tracing plumbing: when a surrounding execution (a
-  /// DynamicIndex query probing its segments) already owns a trace, it
-  /// points `trace` at its builder and `trace_parent` at the span the
-  /// nested call should attach under; `tracer` is then ignored. End users
-  /// set `tracer` only.
+  /// A trace the caller already owns (the serving layer's request trace):
+  /// the query's spans attach under `trace_parent` in `trace`, and
+  /// `tracer` is ignored.
   obs::TraceBuilder* trace = nullptr;
   uint32_t trace_parent = obs::kNoSpan;
-  /// Explain sink: when non-null, ExecutePattern *accumulates* a structured
-  /// account of the plan it ran (instantiations, chosen sequence order with
-  /// anchors, predicted vs. actual cost, cache hits) into it. Accumulation
-  /// (not assignment) lets one explain aggregate the nested executions of a
-  /// DynamicIndex query or a sharded query. Costs a few planner
-  /// probes per sequence when set; nothing when null.
+  /// Explain sink: when non-null, the query adds a structured account of
+  /// the plan it ran (instantiations, chosen sequence order with anchors,
+  /// predicted vs. actual cost, cache hits) into it: counters add, rows
+  /// append. Costs a few planner probes per sequence when set; nothing when
+  /// null.
   QueryExplain* explain = nullptr;
   /// Absolute deadline in DeadlineNowMicros() units; 0 = no deadline. The
-  /// executor checks it between pipeline stages and between matched
-  /// sequences (not inside one MatchSequence call) and fails the query
-  /// with kDeadlineExceeded once passed. Propagates into nested executions
-  /// (DynamicIndex segment probes) because it rides in the options.
+  /// query checks it when it starts and between matched sequences (not
+  /// inside one MatchSequence call) and fails with kDeadlineExceeded once
+  /// passed.
   int64_t deadline_micros = 0;
 
   /// True once the deadline, if any, has passed.
@@ -120,8 +122,7 @@ struct ExecStats {
   /// ComparisonImpliesSkeleton) — the structural scan was skipped.
   uint64_t vindex_short_circuits = 0;
 
-  /// Accumulates `o` (mirrors MatchStats::Add); used wherever per-segment
-  /// or per-batch stats are aggregated.
+  /// Accumulates `o` (mirrors MatchStats::Add).
   void Add(const ExecStats& o) {
     instantiations += o.instantiations;
     orderings += o.orderings;
@@ -182,8 +183,9 @@ class QueryExecutor {
                                        const ExecOptions& options = {},
                                        MatchContext* ctx = nullptr) const;
 
-  /// Runs an already-parsed pattern on every part: a QueryRun matched
-  /// part by part.
+  /// Runs an already-parsed pattern on every part: one QueryRun over one
+  /// CatalogRun, matched part by part. The query's counters add to
+  /// `stats`.
   StatusOr<std::vector<DocId>> ExecutePattern(
       const QueryPattern& pattern, ExecStats* stats = nullptr,
       const ExecOptions& options = {}, MatchContext* ctx = nullptr) const;
@@ -199,12 +201,14 @@ class QueryExecutor {
       const;
 
  private:
-  friend class QueryRun;
+  friend class CatalogRun;
 
   /// The full compile pipeline: instantiate (with pruning) -> ordering
-  /// expansion -> sequence build -> dedup -> selectivity order.
+  /// expansion -> sequence build -> dedup -> selectivity order. Its spans
+  /// hang under `trace_parent`.
   StatusOr<CompiledQuery> CompileInternal(const QueryPattern& pattern,
-                                          const ExecOptions& options) const;
+                                          const ExecOptions& options,
+                                          uint32_t trace_parent) const;
 
   size_t part_count() const { return parts_.empty() ? 1 : parts_.size(); }
   const IndexPart& part(size_t p) const {
@@ -224,42 +228,74 @@ class QueryExecutor {
   MatchContextPool* contexts_ = nullptr;
 };
 
-/// One query over an executor's parts, on the calling thread: compiled at
-/// most once (through the plan cache), then matched part by part.
-/// QueryExecutor::ExecutePattern is Start(), MatchPart() on every part and
-/// Finish(); ShardedCollection::Query runs the same steps with a probe
-/// span per shard. The run writes into `stats` and `options.explain` as it
-/// goes; `pattern`, `stats` and the executor must outlive it.
+/// One query, from a public entry point to its answer, on the calling
+/// thread: the work done once per query on every backend. Start() opens a
+/// trace the run owns when the options carry only a tracer, and checks the
+/// deadline; the query's catalogs then write into stats(), the explain
+/// and the trace; Finish() sorts and deduplicates the union of their
+/// answers and sets result_docs. On every exit path the destructor records
+/// the query's one xseq.query.* sample from stats() and commits the owned
+/// trace. QueryExecutor::ExecutePattern, DynamicIndex::ExecutePattern and
+/// ShardedCollection::Query each run one.
 class QueryRun {
  public:
-  QueryRun(const QueryExecutor& executor, const QueryPattern& pattern,
-           ExecStats* stats, const ExecOptions& options);
+  /// `root` names the root span of a trace the run owns.
+  explicit QueryRun(const ExecOptions& options, const char* root = "query");
   ~QueryRun();
 
   QueryRun(const QueryRun&) = delete;
   QueryRun& operator=(const QueryRun&) = delete;
 
-  /// Opens the run: starts an owned trace when the options carry only a
-  /// tracer, checks the deadline, splits off comparison predicates, and
-  /// compiles — unless the query has comparisons, whose parts compile only
-  /// when their value postings leave a structural match to do.
   Status Start();
 
-  /// Answers the query on part `p`: its sorted, deduplicated ids. Match
-  /// counters add to the run's stats, the part's spans hang under
-  /// `trace_parent` (kNoSpan = the run's root), and explain gets one row
-  /// per matched sequence (tagged with `p` when the executor has several
-  /// parts).
-  StatusOr<std::vector<DocId>> MatchPart(size_t p, MatchContext* ctx,
-                                         uint32_t trace_parent = obs::kNoSpan);
-
-  /// Closes a successful run: sorts and deduplicates `docs`, the union of
-  /// the parts' answers, and records the result.
-  std::vector<DocId> Finish(std::vector<DocId> docs);
-
-  /// The trace this run records into (null when untraced) and its root.
+  /// The options the query's catalogs run with: the trace wired to the
+  /// root span, never a tracer.
+  const ExecOptions& options() const { return options_; }
+  /// This query's own counters.
+  ExecStats* stats() { return &stats_; }
+  /// The trace this query records into (null when untraced) and its root.
   obs::TraceBuilder* trace() const { return options_.trace; }
   uint32_t root_span() const { return options_.trace_parent; }
+
+  /// Closes a successful query: sorts and deduplicates `docs` and records
+  /// their number.
+  std::vector<DocId> Finish(std::vector<DocId> docs);
+
+ private:
+  Timer timer_;
+  ExecOptions options_;
+  const char* root_;
+  obs::Tracer* commit_to_ = nullptr;
+  obs::TraceBuilder owned_trace_;
+  ExecStats stats_;
+  bool ok_ = false;
+};
+
+/// One query's work on the parts of one catalog (a static collection or
+/// one DynamicIndex segment): the plan is resolved at most once, through
+/// the plan cache, and matched part by part. Counters add to `stats`,
+/// explain rows go to `options.explain`, and spans hang under
+/// `trace_parent` in `options.trace`: those of the caller's QueryRun.
+/// `pattern`, `stats`, `options` and the executor must outlive the run.
+class CatalogRun {
+ public:
+  CatalogRun(const QueryExecutor& executor, const QueryPattern& pattern,
+             ExecStats* stats, const ExecOptions& options,
+             uint32_t trace_parent);
+
+  CatalogRun(const CatalogRun&) = delete;
+  CatalogRun& operator=(const CatalogRun&) = delete;
+
+  /// Splits off comparison predicates and compiles — unless the query has
+  /// comparisons, whose parts compile only when their value postings leave
+  /// a structural match to do.
+  Status Start();
+
+  /// Answers the query on part `p`: its sorted, deduplicated ids. The
+  /// part's spans hang under `trace_parent` (kNoSpan = the run's), and
+  /// explain gets one row per matched sequence.
+  StatusOr<std::vector<DocId>> MatchPart(size_t p, MatchContext* ctx,
+                                         uint32_t trace_parent = obs::kNoSpan);
 
  private:
   /// Resolves the plan: a plan-cache hit or one compile (then published).
@@ -268,30 +304,11 @@ class QueryRun {
   StatusOr<std::vector<DocId>> MatchPlan(size_t p, MatchContext* ctx,
                                          uint32_t trace_parent);
 
-  /// Runs on every exit path of the run: commits an owned trace to its
-  /// tracer and feeds the query metrics.
-  struct Report {
-    Timer timer;
-    obs::TraceBuilder* owned_trace = nullptr;
-    obs::Tracer* commit_to = nullptr;
-    bool ok = false;
-    bool truncated = false;
-    uint64_t compile_us = 0;
-    uint64_t match_us = 0;
-    uint64_t result_docs = 0;
-    uint64_t pruned = 0;
-    Report() = default;
-    Report(const Report&) = delete;
-    Report& operator=(const Report&) = delete;
-    ~Report();
-  };
-
   const QueryExecutor& executor_;
   const QueryPattern* pattern_;   ///< the structural pattern to compile
   ExecStats* stats_;
-  ExecOptions options_;           ///< trace wired to the run's root
-  obs::TraceBuilder owned_trace_;
-  Report report_;                 ///< destroyed first: commits owned_trace_
+  const ExecOptions& options_;
+  uint32_t trace_parent_;
   QueryPattern skeleton_;                  ///< `pattern` minus comparisons
   std::vector<ValueComparison> comparisons_;
   bool comparisons_imply_skeleton_ = false;

@@ -55,23 +55,6 @@ size_t CompiledQuery::MemoryBytes() const {
   return bytes;
 }
 
-void QueryExplain::Add(const QueryExplain& o) {
-  instantiations += o.instantiations;
-  orderings += o.orderings;
-  pruned += o.pruned;
-  sequences += o.sequences;
-  plan_cache_hit = plan_cache_hit || o.plan_cache_hit;
-  result_cache_hit = result_cache_hit || o.result_cache_hit;
-  truncated = truncated || o.truncated;
-  predicted_cost = SatAdd(predicted_cost, o.predicted_cost);
-  actual_cost = SatAdd(actual_cost, o.actual_cost);
-  compile_micros += o.compile_micros;
-  match_micros += o.match_micros;
-  result_docs += o.result_docs;
-  seq.insert(seq.end(), o.seq.begin(), o.seq.end());
-  shards.insert(shards.end(), o.shards.begin(), o.shards.end());
-}
-
 std::string QueryExplain::ToJson() const {
   char buf[192];
   std::string out = "{";

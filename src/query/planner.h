@@ -93,9 +93,9 @@ struct CompiledQuery {
 
 /// A structured account of what the planner and executor did for one query
 /// — the "explain" record surfaced by `xseq_client query --explain`,
-/// `xseq_tool explain`, and the serving-plane access log. Counters
-/// accumulate (Add), so one explain can aggregate shard probes or dynamic
-/// segments; the per-sequence and per-shard vectors concatenate.
+/// `xseq_tool explain`, and the serving-plane access log. Every catalog a
+/// query compiles against adds its counters and appends its rows, so one
+/// explain covers every shard and dynamic segment of the query.
 struct QueryExplain {
   size_t instantiations = 0;   ///< concrete trees after wildcard resolution
   size_t orderings = 0;        ///< trees after isomorphism expansion
@@ -127,9 +127,6 @@ struct QueryExplain {
     int64_t micros = 0;
   };
   std::vector<ShardBreakdown> shards;
-
-  /// Merges `o` into this explain (counters add, flags OR, rows append).
-  void Add(const QueryExplain& o);
 
   /// One-line-per-field JSON object (no trailing newline), embeddable in
   /// the access log and stable for tests.

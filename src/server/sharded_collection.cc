@@ -7,7 +7,6 @@
 
 #include "src/obs/metrics.h"
 #include "src/query/query_pattern.h"
-#include "src/seq/reconstruct.h"
 #include "src/util/hash.h"
 #include "src/util/timer.h"
 
@@ -178,24 +177,26 @@ Status ShardedCollection::Seal() {
   if (builder_ == nullptr) {
     return Status::FailedPrecondition("an earlier Seal() failed");
   }
-  std::unique_ptr<ThreadPool> owned;
-  auto built =
-      std::move(*builder_).FinishParts(PoolFor(options_.threads, &owned));
+  auto built = std::move(*builder_).FinishParts(DefaultPool());
   builder_.reset();
   if (!built.ok()) return built.status();
-  shards_.reserve(built->size());
+  std::vector<std::unique_ptr<CollectionIndex>> shards;
+  shards.reserve(built->size());
   for (CollectionIndex& shard : *built) {
-    shards_.push_back(std::make_unique<CollectionIndex>(std::move(shard)));
+    shards.push_back(std::make_unique<CollectionIndex>(std::move(shard)));
   }
-  BindParts();
-  sealed_ = true;
+  SealWith(std::move(shards));
   return Status::OK();
 }
 
-void ShardedCollection::BindParts() {
+void ShardedCollection::SealWith(
+    std::vector<std::unique_ptr<CollectionIndex>> shards) {
+  builder_.reset();
+  shards_ = std::move(shards);
   parts_.clear();
   for (const auto& shard : shards_) parts_.push_back(shard->part());
   plan_cache_id_ = FrozenIndex::NextIndexCacheId();
+  sealed_ = true;
 }
 
 QueryExecutor ShardedCollection::executor() const {
@@ -222,20 +223,23 @@ StatusOr<QueryResult> ShardedCollection::Query(
   auto pattern = ParseXPath(xpath);
   if (!pattern.ok()) return pattern.status();
 
-  QueryResult out;
-  // Static backend: one run compiles once against the shared catalog and
-  // matches shard by shard.
+  QueryRun run(opts);
+  XSEQ_RETURN_IF_ERROR(run.Start());
+  obs::TraceBuilder* tb = run.trace();
+  const uint32_t root = run.root_span();
+  QueryExplain* explain = run.options().explain;
+  // Static backend: the collection is one catalog, compiled once and
+  // matched shard by shard.
   std::optional<QueryExecutor> static_executor;
-  std::optional<QueryRun> run;
+  std::optional<CatalogRun> catalog;
   std::optional<MatchContextLease> lease;
   if (!options_.dynamic) {
     static_executor.emplace(executor());
-    run.emplace(*static_executor, *pattern, &out.stats, opts);
-    XSEQ_RETURN_IF_ERROR(run->Start());
+    catalog.emplace(*static_executor, *pattern, run.stats(), run.options(),
+                    root);
+    XSEQ_RETURN_IF_ERROR(catalog->Start());
     lease.emplace(match_contexts_.get());
   }
-  obs::TraceBuilder* tb = run ? run->trace() : opts.trace;
-  const uint32_t root = run ? run->root_span() : opts.trace_parent;
 
   std::vector<DocId> docs;
   Status first_error;
@@ -247,34 +251,16 @@ StatusOr<QueryResult> ShardedCollection::Query(
     Timer timer;
     obs::SpanScope probe_span(tb, "shard_probe", root);
     probe_span.Annotate("shard", static_cast<uint64_t>(s));
-    const uint64_t entries_before = out.stats.match.link_entries_read;
-    StatusOr<std::vector<DocId>> part = std::vector<DocId>();
-    if (options_.dynamic) {
-      // Each dynamic shard compiles against its own vocabulary; its probe
-      // gets its own explain, merged below.
-      ExecOptions popts = opts;
-      popts.trace = tb;
-      popts.trace_parent = probe_span.id();
-      QueryExplain part_explain;
-      if (opts.explain != nullptr) popts.explain = &part_explain;
-      ExecStats part_stats;
-      part = dynamic_shards_[s]->ExecutePattern(*pattern, popts, &part_stats);
-      if (part.ok() && first_error.ok()) {
-        out.stats.Add(part_stats);
-        if (opts.explain != nullptr) {
-          for (QueryExplain::SeqEntry& e : part_explain.seq) {
-            e.shard = static_cast<int32_t>(s);
-          }
-          opts.explain->Add(part_explain);
-        }
-      }
-    } else {
-      part = run->MatchPart(s, lease->get(), probe_span.id());
-    }
+    const uint64_t entries_before = run.stats()->match.link_entries_read;
+    const size_t rows_before = explain != nullptr ? explain->seq.size() : 0;
+    auto part = options_.dynamic
+                    ? dynamic_shards_[s]->Probe(*pattern, run.options(),
+                                                run.stats(), probe_span.id())
+                    : catalog->MatchPart(s, lease->get(), probe_span.id());
     const int64_t probe_us = timer.ElapsedMicros();
     const size_t part_docs = part.ok() ? part->size() : 0;
     const uint64_t entries_read =
-        out.stats.match.link_entries_read - entries_before;
+        run.stats()->match.link_entries_read - entries_before;
     if (tb != nullptr) {
       probe_span.Annotate("docs", part_docs);
       probe_span.Annotate("entries_read", entries_read);
@@ -291,27 +277,24 @@ StatusOr<QueryResult> ShardedCollection::Query(
     if (first_error.ok()) first_error = part.status();
     if (!first_error.ok()) continue;
     docs.insert(docs.end(), part->begin(), part->end());
-    if (opts.explain != nullptr) {
-      // One fan-out breakdown row per shard shows where the work went.
+    if (explain != nullptr) {
+      // The shard's sequence rows say whose they are, and one fan-out
+      // breakdown row per shard shows where the work went.
+      for (size_t i = rows_before; i < explain->seq.size(); ++i) {
+        explain->seq[i].shard = static_cast<int32_t>(s);
+      }
       QueryExplain::ShardBreakdown row;
       row.shard = static_cast<int32_t>(s);
       row.docs = part_docs;
       row.entries_read = entries_read;
       row.micros = probe_us;
-      opts.explain->shards.push_back(row);
+      explain->shards.push_back(row);
     }
   }
   XSEQ_RETURN_IF_ERROR(first_error);
-  if (run) {
-    out.docs = run->Finish(std::move(docs));
-  } else {
-    // Shards partition the id space, so this is a disjoint union: sort for
-    // the public "sorted, deduplicated" contract.
-    std::sort(docs.begin(), docs.end());
-    docs.erase(std::unique(docs.begin(), docs.end()), docs.end());
-    out.docs = std::move(docs);
-    out.stats.result_docs = out.docs.size();
-  }
+  QueryResult out;
+  out.docs = run.Finish(std::move(docs));
+  out.stats = *run.stats();
   return out;
 }
 
@@ -365,31 +348,27 @@ CollectionIndex::SizeStats ShardedCollection::MergedStats() const {
 
 namespace {
 
-/// Deep-copies `doc`, parsed against `names`/`values`, into `out`'s
-/// vocabulary and adds it to its owning shard: the one path by which
-/// documents move into a new vocabulary (the dynamic Save and the
-/// reshard). Names translate by string. A value node carrying its text is
-/// encoded afresh from it; one without text (reconstructed from a trie)
-/// translates by string in exact mode and passes through otherwise: hashed
-/// ids are a pure function of the text, and char-sequence tries index the
-/// expanded document, so reconstructed value nodes already carry
-/// vocabulary-independent character codes (plus the terminator), which
-/// ride through the destination's ExpandValueChains untouched.
+/// Deep-copies `doc`, parsed against `names`, into `out`'s vocabulary and
+/// adds it to its owning shard: how the dynamic Save moves live documents
+/// into one vocabulary. Names translate by string, and values are encoded
+/// afresh from the text every parsed or generated value node carries; a
+/// value node built from its id alone is refused.
 Status AddTranslated(const Document& doc, const NameTable& names,
-                     const ValueEncoder& values, ShardedCollection* out) {
+                     ShardedCollection* out) {
+  for (const Node* n : doc.nodes()) {
+    if (n->is_value() && n->text == nullptr) {
+      return Status::InvalidArgument(
+          "document " + std::to_string(doc.id()) +
+          " has a value node without its text");
+    }
+  }
   const size_t shard = out->ShardOf(doc.id());
   NameTable* dst_names = out->names(shard);
   ValueEncoder* dst_values = out->values(shard);
-  const bool exact = values.mode() == ValueMode::kExact;
   Document copy(doc.id());
   auto translate = [&](const Node* n) -> Node* {
     if (n->is_value()) {
-      if (n->text != nullptr) {
-        return copy.CreateValue(dst_values->Encode(n->text), n->text);
-      }
-      if (!exact) return copy.CreateValue(ValueId(n->sym.id()));
-      const std::string& text = values.Lookup(ValueId(n->sym.id()));
-      return copy.CreateValue(dst_values->Encode(text), text);
+      return copy.CreateValue(dst_values->Encode(n->text), n->text);
     }
     NameId nid = dst_names->Intern(names.Lookup(NameId(n->sym.id())));
     return n->kind == NodeKind::kAttribute ? copy.CreateAttribute(nid)
@@ -423,7 +402,7 @@ StatusOr<ShardedCollection> ShardedCollection::StaticSnapshot() const {
   for (const auto& shard : dynamic_shards_) {
     XSEQ_RETURN_IF_ERROR(
         shard->ForEachLiveDocument([&](const Document& doc) {
-          return AddTranslated(doc, *shard->names(), *shard->values(), &out);
+          return AddTranslated(doc, *shard->names(), &out);
         }));
   }
   XSEQ_RETURN_IF_ERROR(out.Seal());
@@ -455,7 +434,7 @@ Status ShardedCollection::Save(const std::string& prefix,
 }
 
 StatusOr<ShardedCollection> ShardedCollection::Load(
-    const std::string& prefix, int threads, const PersistOptions& persist) {
+    const std::string& prefix, const PersistOptions& persist) {
   std::string manifest_bytes;
   XSEQ_RETURN_IF_ERROR(ReadImageFile(prefix, persist, &manifest_bytes));
   auto manifest = DecodeShardedManifest(manifest_bytes, /*with_catalog=*/true);
@@ -464,14 +443,11 @@ StatusOr<ShardedCollection> ShardedCollection::Load(
 
   ShardedOptions options;
   options.shards = static_cast<int>(shard_count);
-  options.threads = threads;
   options.index = manifest->catalog->options;
   ShardedCollection out(options);
-  out.builder_.reset();
   std::vector<std::unique_ptr<CollectionIndex>> shards(shard_count);
   std::vector<Status> statuses(shard_count);
-  std::unique_ptr<ThreadPool> owned;
-  PoolFor(threads, &owned)->ParallelFor(shard_count, [&](size_t s) {
+  DefaultPool()->ParallelFor(shard_count, [&](size_t s) {
     const std::string path = ShardImagePath(prefix, s);
     std::string data;
     Status read = ReadImageFile(path, persist, &data);
@@ -495,14 +471,12 @@ StatusOr<ShardedCollection> ShardedCollection::Load(
         "manifest counts " + std::to_string(manifest->total_documents) +
         " documents but its parts hold " + std::to_string(documents));
   }
-  out.shards_ = std::move(shards);
-  out.BindParts();
-  out.sealed_ = true;
+  out.SealWith(std::move(shards));
   return out;
 }
 
 StatusOr<ShardedCollection> ReshardCollection(const ShardedCollection& source,
-                                              int new_shards, int threads) {
+                                              int new_shards) {
   if (source.options().dynamic) {
     return Status::FailedPrecondition(
         "reshard requires a static collection (save a dynamic one first)");
@@ -513,11 +487,9 @@ StatusOr<ShardedCollection> ReshardCollection(const ShardedCollection& source,
   if (new_shards < 1) {
     return Status::InvalidArgument("new_shards must be >= 1");
   }
-  ShardedOptions opts;
-  opts.shards = new_shards;
-  opts.threads = threads;
-  opts.index = source.options().index;
-  ShardedCollection out(opts);
+  const size_t m = static_cast<size_t>(new_shards);
+  std::vector<std::vector<std::pair<Sequence, DocId>>> sequenced(m);
+  std::vector<ValueIndexBuilder> postings(m);
   for (size_t s = 0; s < source.shard_count(); ++s) {
     const CollectionIndex* shard = source.shard(s);
     if (shard == nullptr) {
@@ -526,8 +498,8 @@ StatusOr<ShardedCollection> ReshardCollection(const ShardedCollection& source,
     const FrozenIndex& idx = shard->index();
     // Pre-order walk maintaining the root-to-here label chain: a node's
     // ancestors are exactly the open intervals [serial, end] containing it,
-    // so the chain *is* the document's constraint sequence (Theorem 1
-    // recovers the tree from it).
+    // so the chain *is* the constraint sequence of every document whose
+    // sequence ends at the node.
     std::vector<uint32_t> ends;
     std::vector<PathId> chain;
     for (uint32_t serial = 0; serial < idx.node_count(); ++serial) {
@@ -537,18 +509,38 @@ StatusOr<ShardedCollection> ReshardCollection(const ShardedCollection& source,
       }
       ends.push_back(idx.end(serial));
       chain.push_back(idx.path(serial));
-      auto docs = idx.DocsAtNode(serial);
-      if (docs.empty()) continue;
-      Sequence seq(chain.begin(), chain.end());
-      for (DocId d : docs) {
-        auto tree = ReconstructTree(seq, shard->dict(), d);
-        if (!tree.ok()) return tree.status();
-        XSEQ_RETURN_IF_ERROR(
-            AddTranslated(*tree, shard->names(), shard->values(), &out));
+      for (DocId d : idx.DocsAtNode(serial)) {
+        sequenced[ShardOfDoc(d, m)].emplace_back(
+            Sequence(chain.begin(), chain.end()), d);
+      }
+    }
+    const ValueIndex& vindex = shard->vindex();
+    for (size_t i = 0; i < vindex.path_count(); ++i) {
+      for (const ValueIndex::Entry& e : vindex.EntriesAt(i)) {
+        postings[ShardOfDoc(e.doc, m)].Add(vindex.paths()[i], e.text, e.doc);
       }
     }
   }
-  XSEQ_RETURN_IF_ERROR(out.Seal());
+
+  std::vector<std::unique_ptr<CollectionIndex>> shards(m);
+  std::vector<Status> statuses(m);
+  DefaultPool()->ParallelFor(m, [&](size_t p) {
+    const uint64_t documents = sequenced[p].size();
+    auto built = CollectionIndex::FromSequences(
+        source.shard(0)->catalog(), documents, std::move(sequenced[p]),
+        std::move(postings[p]));
+    if (built.ok()) {
+      shards[p] = std::make_unique<CollectionIndex>(std::move(*built));
+    } else {
+      statuses[p] = built.status();
+    }
+  });
+  for (const Status& st : statuses) XSEQ_RETURN_IF_ERROR(st);
+  ShardedOptions opts;
+  opts.shards = new_shards;
+  opts.index = source.options().index;
+  ShardedCollection out(opts);
+  out.SealWith(std::move(shards));
   return out;
 }
 

@@ -18,12 +18,12 @@
 // Two backends, chosen at construction:
 //  * static  — documents observe into the shared catalog and buffer per
 //              shard; Seal() builds the model once, then sequences and
-//              bulk-loads every shard (one shard per task of the `threads`
+//              bulk-loads every shard (one shard per task of the default
 //              pool, each on one thread) and the collection becomes
 //              immutable and persistable.
 //  * dynamic — each shard is a DynamicIndex with its own vocabulary; Add()
 //              works forever, Seal() just flushes buffers into segments,
-//              and each shard compiles its own queries.
+//              and each segment compiles the query against its own catalog.
 //
 // Parse or generate a document against the tables of the shard that will
 // own it: call ShardOf(id) first, then names(shard)/values(shard), then
@@ -70,13 +70,6 @@ struct ShardedOptions {
   bool dynamic = false;           ///< DynamicIndex shards instead of static
   IndexOptions index;             ///< build options of every shard
   size_t flush_threshold = 1024;  ///< dynamic backend: docs per segment
-  /// Set-up parallelism: once the shared model is built, Seal() builds
-  /// and Load() reads shards across this pool, one shard per task (0 = the
-  /// process default pool, 1 = serial, n > 1 = a dedicated pool; see
-  /// PoolFor). Each shard's build runs on the task's thread, so images do
-  /// not depend on the width. Queries never use it: each one probes its
-  /// shards in turn on the calling thread.
-  int threads = 0;
 };
 
 /// The shard owning document `id` among `shards` partitions.
@@ -135,20 +128,20 @@ class ShardedCollection {
   Status Compact();
 
   /// Static: builds the shared sequencing model from every added document,
-  /// then every shard index with it (one shard per task of the `threads`
-  /// pool), and freezes the collection. Dynamic: flushes every shard's
-  /// buffer.
+  /// then every shard index with it (one shard per task of DefaultPool(),
+  /// so images do not depend on its width), and freezes the collection.
+  /// Dynamic: flushes every shard's buffer.
   Status Seal();
 
   /// True once queries are allowed (always, for the dynamic backend).
   bool sealed() const;
 
-  /// Scatter-gather query on the calling thread. Static: parsed and
-  /// compiled once, then every shard is matched in turn; the compile-side
-  /// ExecStats describe the one compile and the match-side ones sum over
-  /// shards. Dynamic: every shard runs the parsed pattern in turn and the
-  /// per-shard ExecStats are summed. Per-shard answers are unioned (shards
-  /// are disjoint by construction).
+  /// Scatter-gather query on the calling thread: parsed once and run as
+  /// one QueryRun, which probes every shard in turn. Static: the collection
+  /// is one catalog, compiled once, so the compile-side ExecStats describe
+  /// the one compile. Dynamic: each shard's Probe() compiles once per
+  /// segment. Match-side ExecStats sum over shards either way, and
+  /// per-shard answers are unioned (shards are disjoint by construction).
   StatusOr<QueryResult> Query(std::string_view xpath,
                               const ExecOptions& options = {}) const;
 
@@ -182,17 +175,21 @@ class ShardedCollection {
   /// race with the save, interning may not (the shards' tables are read).
   Status Save(const std::string& prefix,
               const PersistOptions& persist = {}) const;
+  /// Reads the shards on DefaultPool(), one shard per task.
   static StatusOr<ShardedCollection> Load(const std::string& prefix,
-                                          int threads = 0,
                                           const PersistOptions& persist = {});
 
  private:
+  friend StatusOr<ShardedCollection> ReshardCollection(
+      const ShardedCollection& source, int new_shards);
+
   /// A static collection over the shards' live documents, moved into one
   /// vocabulary (dynamic backend).
   StatusOr<ShardedCollection> StaticSnapshot() const;
-  /// Points the executor's parts at the built shards and draws the
-  /// collection's plan-cache identity.
-  void BindParts();
+  /// Seals a static collection with its built shards: points the
+  /// executor's parts at them and draws the collection's plan-cache
+  /// identity.
+  void SealWith(std::vector<std::unique_ptr<CollectionIndex>> shards);
   QueryExecutor executor() const;
 
   ShardedOptions options_;
@@ -211,22 +208,19 @@ class ShardedCollection {
   uint64_t added_docs_ = 0;
 };
 
-/// Offline N→M reshard of a static, sealed collection. Every indexed
-/// document is recovered from its shard's trie (the root-to-node label
-/// chain is the constraint sequence; Theorem 1 rebuilds the tree), moved
-/// into the new collection's vocabulary by the same path the dynamic Save
-/// takes, and re-routed through the same FNV-1a64 partitioner — so the
-/// result is what a fresh M-shard build over the same corpus would answer,
-/// for every query (Theorems 2–3: membership depends only on the
-/// document's own tree). Value designators move by string in exact mode
-/// and ride through unchanged otherwise: hashed ids depend only on the
-/// text, and char-sequence tries index the expanded document, so
-/// reconstructed value nodes already carry vocabulary-independent
-/// character codes. Works on loaded images: no retained documents are
-/// needed.
+/// Offline N→M reshard of a static, sealed collection. Every shard shares
+/// one catalog, and the shard count is not an input to it, so the M new
+/// shards keep the source's catalog and only data moves: each document's
+/// constraint sequence (the root-to-node label chain of its trie walk)
+/// and its value postings go to the shard the same FNV-1a64 partitioner
+/// names, and each new shard bulk-loads them on a task of DefaultPool().
+/// No document is rebuilt, observed or sequenced again, so the result
+/// answers every query as a fresh M-shard build over the same corpus
+/// would (Theorems 2–3: membership depends only on the document's own
+/// sequence), in every value mode. Works on loaded images: no retained
+/// documents are needed.
 StatusOr<ShardedCollection> ReshardCollection(const ShardedCollection& source,
-                                              int new_shards,
-                                              int threads = 0);
+                                              int new_shards);
 
 }  // namespace xseq
 

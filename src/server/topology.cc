@@ -83,8 +83,7 @@ StatusOr<uint64_t> TopologyManager::Reload(const std::string& prefix) {
   if (!verified.ok()) return fail(verified);
 
   // Step 2: load the candidate next to the live generation.
-  auto loaded =
-      ShardedCollection::Load(prefix, options_.threads, options_.persist);
+  auto loaded = ShardedCollection::Load(prefix, options_.persist);
   if (!loaded.ok()) return fail(loaded.status());
   auto candidate =
       std::make_shared<const ShardedCollection>(std::move(*loaded));

@@ -53,9 +53,6 @@ struct CanaryQuery {
 
 /// Hot-swap knobs.
 struct TopologyOptions {
-  /// Shard-load parallelism handed to ShardedCollection::Load (0 = the
-  /// default pool, 1 = serial); queries on the loaded image never fan out.
-  int threads = 0;
   PersistOptions persist;
   std::vector<CanaryQuery> canaries;
 };

@@ -28,6 +28,7 @@
 #define XSEQ_SRC_VINDEX_VALUE_INDEX_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -85,6 +86,10 @@ class ValueIndex {
   /// Number of entries under paths()[i].
   uint64_t EntryCountAt(size_t i) const {
     return offsets_[i + 1] - offsets_[i];
+  }
+  /// The entries under paths()[i], in their sorted order.
+  std::span<const Entry> EntriesAt(size_t i) const {
+    return {entries_.data() + offsets_[i], entries_.data() + offsets_[i + 1]};
   }
 
   uint64_t MemoryBytes() const;

@@ -158,7 +158,6 @@ TEST(CacheInvalidation, ShardedGenerationCoversEveryShard) {
   ShardedOptions opts;
   opts.shards = 3;
   opts.dynamic = true;
-  opts.threads = 1;
   ShardedCollection col(opts);
   uint64_t g = col.generation();
   for (DocId d = 0; d < 9; ++d) {
@@ -205,7 +204,6 @@ TEST(CacheInvalidation, ShardedMutationsAreNeverMaskedByCachedAnswers) {
     opts.shards = 3;
     opts.dynamic = true;
     opts.flush_threshold = 2;
-    opts.threads = 1;
     return opts;
   }());
 

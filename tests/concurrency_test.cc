@@ -1,16 +1,18 @@
-// Concurrency tests: the two fan-outs left, shards in a sharded seal and
-// queries in QueryBatch, must be bit-identical to their serial
-// counterparts; a build and a query each run on one thread, queueing no
-// pool task; and DynamicIndex must answer queries correctly while other
-// threads mutate it. Pool widths are forced (> 1) so the parallel code
-// runs even on single-core machines.
+// Concurrency tests: the two fan-outs left, parts in FinishParts (so
+// shards in a sharded seal) and queries in QueryBatch, must be
+// bit-identical to their serial counterparts; a build and a query each
+// run on one thread, queueing no pool task; and DynamicIndex must answer
+// queries correctly while other threads mutate it. Pool widths are forced
+// (> 1) so the parallel code runs even on single-core machines.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <thread>
@@ -77,40 +79,62 @@ CollectionIndex BuildSynthetic(DocId docs) {
   return std::move(*index);
 }
 
-// Builds `docs` synthetic records into a static 4-shard collection whose
-// Seal() runs on a pool of width `threads`.
-ShardedCollection SealSyntheticShards(int threads, DocId docs) {
-  ShardedOptions opts;
-  opts.shards = 4;
-  opts.threads = threads;
-  ShardedCollection col(opts);
+// Adds `docs` synthetic records to `add`, routed to the four shards
+// ShardOfDoc names, each generated by its shard's generator.
+template <typename AddFn>
+void AddSyntheticShards(NameTable* names, ValueEncoder* values, DocId docs,
+                        AddFn add) {
   std::vector<std::unique_ptr<SyntheticDataset>> gens;
-  for (size_t s = 0; s < col.shard_count(); ++s) {
-    gens.push_back(std::make_unique<SyntheticDataset>(
-        kSyntheticParams, col.names(s), col.values(s)));
+  for (size_t s = 0; s < 4; ++s) {
+    gens.push_back(
+        std::make_unique<SyntheticDataset>(kSyntheticParams, names, values));
   }
   for (DocId d = 0; d < docs; ++d) {
-    EXPECT_TRUE(col.Add(gens[col.ShardOf(d)]->Generate(d)).ok());
+    const size_t shard = ShardOfDoc(d, 4);
+    EXPECT_TRUE(add(gens[shard]->Generate(d), shard).ok());
   }
-  EXPECT_TRUE(col.Seal().ok());
-  return col;
+}
+
+// FinishParts of a four-part builder of `docs` records on a pool of width
+// `width`.
+std::vector<CollectionIndex> FinishSyntheticParts(int width, DocId docs) {
+  CollectionBuilder builder(IndexOptions(), 4);
+  AddSyntheticShards(builder.names(), builder.values(), docs,
+                     [&](Document&& doc, size_t part) {
+                       return builder.Add(std::move(doc), part);
+                     });
+  ThreadPool pool(width);
+  auto parts = std::move(builder).FinishParts(&pool);
+  EXPECT_TRUE(parts.ok());
+  return parts.ok() ? std::move(*parts) : std::vector<CollectionIndex>();
 }
 
 TEST(ParallelBuild, RetainedModeBitIdenticalToSerial) {
-  // The one build fan-out: Seal() builds one shard per pool task, each on
-  // its task's thread. The persisted image captures the whole frozen
-  // index, so byte equality per shard is the strongest form of "the
-  // fan-out changed nothing".
-  ShardedCollection serial = SealSyntheticShards(1, 400);
-  ShardedCollection parallel = SealSyntheticShards(4, 400);
-  ASSERT_EQ(parallel.shard_count(), serial.shard_count());
-  for (size_t s = 0; s < serial.shard_count(); ++s) {
+  // The one build fan-out: FinishParts builds one part per pool task, each
+  // on its task's thread. The persisted image captures the whole frozen
+  // index, so byte equality per part is the strongest form of "the
+  // fan-out changed nothing". A sealed 4-shard collection of the same
+  // records, built on the default pool, holds the same bytes.
+  const std::vector<CollectionIndex> serial = FinishSyntheticParts(1, 400);
+  const std::vector<CollectionIndex> parallel = FinishSyntheticParts(4, 400);
+  ShardedOptions opts;
+  opts.shards = 4;
+  ShardedCollection sealed(opts);
+  AddSyntheticShards(sealed.names(0), sealed.values(0), 400,
+                     [&](Document&& doc, size_t) {
+                       return sealed.Add(std::move(doc));
+                     });
+  ASSERT_TRUE(sealed.Seal().ok());
+  ASSERT_EQ(serial.size(), 4u);
+  ASSERT_EQ(parallel.size(), 4u);
+  ASSERT_EQ(sealed.shard_count(), 4u);
+  for (size_t s = 0; s < serial.size(); ++s) {
     SCOPED_TRACE("shard " + std::to_string(s));
-    ASSERT_NE(serial.shard(s), nullptr);
-    ASSERT_NE(parallel.shard(s), nullptr);
-    EXPECT_GT(serial.shard(s)->Stats().documents, 0u);
-    EXPECT_EQ(EncodeCollectionIndex(*serial.shard(s)),
-              EncodeCollectionIndex(*parallel.shard(s)));
+    EXPECT_GT(serial[s].Stats().documents, 0u);
+    const std::string want = EncodeCollectionIndex(serial[s]);
+    EXPECT_EQ(EncodeCollectionIndex(parallel[s]), want);
+    ASSERT_NE(sealed.shard(s), nullptr);
+    EXPECT_EQ(EncodeCollectionIndex(*sealed.shard(s)), want);
   }
 }
 
@@ -237,6 +261,22 @@ TEST(ParallelQuery, FreshImageBuildsElementOrderUnderConcurrentFirstUse) {
   EXPECT_GT(nonempty, xpaths.size() / 2);
 }
 
+// Returns once every task queued on the default pool before the call has
+// been taken by a worker: each worker takes one task of this round, and a
+// worker takes a task only after finishing the one before it.
+void DrainDefaultPool() {
+  ThreadPool* pool = DefaultPool();
+  const size_t width = static_cast<size_t>(pool->width());
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t arrived = 0;
+  pool->ParallelFor(width, [&](size_t) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (++arrived == width) cv.notify_all();
+    cv.wait(lock, [&] { return arrived == width; });
+  });
+}
+
 // The spans named `name` in `trace` ran one after another on the thread
 // that started the trace.
 void ExpectProbesInTurn(const obs::Trace& trace, const std::string& name,
@@ -256,10 +296,10 @@ void ExpectProbesInTurn(const obs::Trace& trace, const std::string& name,
 }
 
 TEST(OneThreadPerQuery, ProbesRunInTurnOnTheCallingThread) {
-  // Wide set-up pools: a 4-shard static and a 4-shard dynamic collection
-  // with `threads = 4`, beside a DynamicIndex with several segments. A
-  // query still runs start to finish on its caller: no pool task, probe
-  // spans in turn on one thread, and the answers of an unsharded index.
+  // A 4-shard static and a 4-shard dynamic collection, sealed on the
+  // default pool, beside a DynamicIndex with several segments. A query
+  // still runs start to finish on its caller: no pool task, probe spans in
+  // turn on one thread, and the answers of an unsharded index.
   std::vector<std::string> specs;
   for (int i = 0; i < 48; ++i) {
     switch (i % 4) {
@@ -279,7 +319,9 @@ TEST(OneThreadPerQuery, ProbesRunInTurnOnTheCallingThread) {
   }
   CollectionIndex baseline = testing::MakeIndex(specs);
 
-  obs::ScopedMetricsEnabled on(true);
+  // Set-up counts no pool task: it runs with metrics off, and the default
+  // pool, which seals the static shards, is drained before counting starts.
+  obs::ScopedMetricsEnabled off(false);
   obs::Counter* tasks =
       obs::MetricsRegistry::Default()->GetCounter("xseq.pool.tasks");
   uint64_t tasks0 = 0;
@@ -288,7 +330,6 @@ TEST(OneThreadPerQuery, ProbesRunInTurnOnTheCallingThread) {
       ShardedOptions opts;
       opts.shards = 4;
       opts.dynamic = dynamic;
-      opts.threads = 4;
       opts.flush_threshold = 4;
       auto col = std::make_unique<ShardedCollection>(opts);
       for (DocId id = 0; id < specs.size(); ++id) {
@@ -313,6 +354,8 @@ TEST(OneThreadPerQuery, ProbesRunInTurnOnTheCallingThread) {
     }
     ASSERT_GE(dyn.segment_count(), 2u);
 
+    DrainDefaultPool();
+    obs::ScopedMetricsEnabled on(true);
     tasks0 = tasks->value();
     for (const char* q :
          {"/a/b", "/a//b", "//b[text='v1']", "/a/*/b", "//d", "//nosuch"}) {
@@ -339,8 +382,7 @@ TEST(OneThreadPerQuery, ProbesRunInTurnOnTheCallingThread) {
                          dyn.segment_count());
     }
   }
-  // Destroying the backends joined every pool they own, so a task any
-  // query queued has run and been counted by now.
+  // No query queued a pool task while metrics counted.
   EXPECT_EQ(tasks->value(), tasks0);
 }
 

@@ -443,9 +443,9 @@ TEST(RequestLogTest, RotationBoundsTheFootprint) {
 // The acceptance scenario: one stitched trace across XseqClient's rpc,
 // the server queue, and per-shard probes of a three-shard collection.
 
-TEST(StitchedTraceTest, OneTraceIdFromClientAttemptToShardProbes) {
+// The stitched-trace scenario over `col`, a three-shard collection.
+void CheckStitchedTrace(std::shared_ptr<ShardedCollection> col) {
   MemorySocketEnv env;
-  auto col = std::make_shared<ShardedCollection>(BuildSharded(Corpus(), 3));
   obs::Tracer server_ring(8);
   ServerOptions options;
   options.host = "mem";
@@ -532,6 +532,29 @@ TEST(StitchedTraceTest, OneTraceIdFromClientAttemptToShardProbes) {
 
   client->Close();
   server.Stop();
+}
+
+TEST(StitchedTraceTest, OneTraceIdFromClientAttemptToShardProbes) {
+  CheckStitchedTrace(
+      std::make_shared<ShardedCollection>(BuildSharded(Corpus(), 3)));
+  // The dynamic backend, with sealed, tombstoned and buffered documents:
+  // the same one trace, and an explain that counts the answer once.
+  ShardedOptions opts;
+  opts.shards = 3;
+  opts.dynamic = true;
+  opts.flush_threshold = 8;
+  auto dynamic = std::make_shared<ShardedCollection>(opts);
+  const std::vector<std::string> specs = Corpus();
+  for (DocId id = 0; id < specs.size(); ++id) {
+    const size_t s = dynamic->ShardOf(id);
+    ASSERT_TRUE(dynamic
+                    ->Add(MakeDoc(specs[id], dynamic->names(s),
+                                  dynamic->values(s), id))
+                    .ok());
+  }
+  ASSERT_TRUE(dynamic->Delete(0).ok());
+  ASSERT_TRUE(dynamic->Delete(static_cast<DocId>(specs.size() - 1)).ok());
+  CheckStitchedTrace(dynamic);
 }
 
 // ---------------------------------------------------------------------------

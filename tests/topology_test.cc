@@ -62,8 +62,9 @@ std::vector<std::string> CorpusB() {
 }
 
 std::vector<std::string> Workload() {
-  return {"/a/b", "/a//b", "//b[text='v1']", "/a/c/d", "/a/*/b", "/r//c",
-          "//nosuch"};
+  return {"/a/b",   "/a//b",    "//b[text='v1']", "/a/c/d",
+          "/a/*/b", "/r//c",    "//nosuch",       "//b[. >= 'v2']",
+          "/a/c/d[. < 'v3']"};
 }
 
 ShardedCollection BuildSharded(const std::vector<std::string>& specs,
@@ -145,6 +146,23 @@ TEST(DynamicShardedSaveTest, SaveIsRepeatableAfterMoreAdds) {
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->total_documents(), 40u);
   EXPECT_EQ(Answers(*second), Answers(col));
+}
+
+TEST(DynamicShardedSaveTest, RefusesAValueWithoutItsText) {
+  // The save moves values into one vocabulary by their text, so a value
+  // node built from its id alone is refused, not guessed at.
+  ShardedOptions opts;
+  opts.shards = 2;
+  opts.dynamic = true;
+  ShardedCollection col(opts);
+  const size_t s = col.ShardOf(7);
+  Document doc(7);
+  Node* a = doc.CreateElement(col.names(s)->Intern("a"));
+  doc.SetRoot(a);
+  doc.AppendChild(a, doc.CreateValue(col.values(s)->Encode("v1")));
+  ASSERT_TRUE(col.Add(std::move(doc)).ok());
+  const Status st = col.Save(TempPrefix("xseq_dyn_textless"));
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
 }
 
 // Fault sweep over the whole multi-file save (every shard image plus the
@@ -737,6 +755,36 @@ TEST_P(ReshardTest, DifferentialAgainstSourceAndFreshBuild) {
     ShardedCollection fresh = BuildSharded(specs, m, /*dynamic=*/false, mode);
     EXPECT_EQ(Answers(*resharded), Answers(fresh)) << m << " shards";
   }
+}
+
+// Every shard shares the source's catalog, so a save of the resharded
+// collection holds the source manifest's shared sections byte for byte.
+TEST_P(ReshardTest, ManifestKeepsTheSourceCatalog) {
+  const std::string mode = std::to_string(static_cast<int>(GetParam()));
+  ShardedCollection source =
+      BuildSharded(CorpusA(), 3, /*dynamic=*/false, GetParam());
+  const std::string src = TempPrefix("xseq_reshard_catalog_src" + mode);
+  ASSERT_TRUE(source.Save(src).ok());
+  auto resharded = ReshardCollection(source, 5);
+  ASSERT_TRUE(resharded.ok()) << resharded.status().ToString();
+  const std::string dst = TempPrefix("xseq_reshard_catalog_dst" + mode);
+  ASSERT_TRUE(resharded->Save(dst).ok());
+  auto shared_sections = [](const std::string& prefix) {
+    std::string data;
+    EXPECT_TRUE(Env::Default()->ReadFileToString(prefix, &data).ok());
+    IndexFileReport report = InspectEncodedIndex(data);
+    EXPECT_TRUE(report.status.ok()) << report.status.ToString();
+    EXPECT_EQ(report.kind, "manifest");
+    std::map<std::string, std::string> out;
+    for (const IndexSectionInfo& section : report.sections) {
+      if (section.name == "header") continue;
+      out[section.name] = data.substr(section.offset, section.length);
+    }
+    return out;
+  };
+  const std::map<std::string, std::string> want = shared_sections(src);
+  EXPECT_EQ(want.size(), 4u);  // names, values, dict, schema
+  EXPECT_EQ(shared_sections(dst), want);
 }
 
 INSTANTIATE_TEST_SUITE_P(ValueModes, ReshardTest,

@@ -753,7 +753,6 @@ TEST_P(MutationDifferentialTest, ShardedDynamicCollection) {
   opts.shards = 3;
   opts.dynamic = true;
   opts.flush_threshold = 4;
-  opts.threads = 1;
   opts.index.value_mode = GetParam();
   ShardedCollection coll(opts);
   MutableBackend b;
@@ -785,7 +784,6 @@ INSTANTIATE_TEST_SUITE_P(AllModes, MutationDifferentialTest,
 TEST(ShardedMutationTest, StaticBackendRefusesMutations) {
   ShardedOptions opts;
   opts.shards = 2;
-  opts.threads = 1;
   ShardedCollection coll(opts);
   for (DocId id = 0; id < 4; ++id) {
     const size_t shard = coll.ShardOf(id);
